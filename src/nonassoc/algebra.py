@@ -307,21 +307,6 @@ def check_identity(A: Algebra, kind) -> bool:
     return first_identity_failure(A, kind) is None
 
 
-def assosymmetric_by_permutations(A: Algebra) -> bool:
-    """Cross-check: the associator is invariant under all six permutations."""
-    import itertools
-
-    n = A.dim
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                base = _associator_basis(A, a, b, c)
-                for perm in itertools.permutations((a, b, c)):
-                    if _associator_basis(A, *perm) != base:
-                        return False
-    return True
-
-
 def subspace_product(A: Algebra, u: Subspace, v: Subspace) -> Subspace:
     """span{ x*y : x in u, y in v }, via basis products."""
     ech = Echelon(A.field, A.dim)
@@ -549,15 +534,6 @@ def is_right_nil(A: Algebra, a) -> bool:
     return False
 
 
-def is_left_nil(A: Algebra, a) -> bool:
-    x = tuple(a)
-    for _ in range(A.dim + 1):
-        x = A.multiply(a, x)
-        if A.is_zero_vector(x):
-            return True
-    return False
-
-
 def direct_sum(A: Algebra, B: Algebra) -> Algebra:
     """Block-diagonal sum; the summands annihilate each other."""
     if A.field != B.field:
@@ -586,7 +562,13 @@ def direct_sum(A: Algebra, B: Algebra) -> Algebra:
         table.append(row)
     labels = None
     if A.labels and B.labels:
-        labels = tuple(f"{x}'" for x in A.labels) + tuple(f"{x}''" for x in B.labels)
+        # x' for the first summand, x'' for the second; more primes on the
+        # second when a label would repeat (as in nested sums)
+        first = tuple(f"{x}'" for x in A.labels)
+        mark = "''"
+        while set(first) & {x + mark for x in B.labels}:
+            mark += "'"
+        labels = first + tuple(x + mark for x in B.labels)
     return Algebra(field, dim, table, labels)
 
 

@@ -38,7 +38,7 @@ from .fileformat import document_json, parse_document, serialize_document
 from .linalg import Subspace
 from .series import SeriesKind, chief_series, compute_series, nilpotency_profile
 from .structure import decompose_semisimple_bicommutative, phi_free_split
-from .verify import CHECK_DESCRIPTIONS, CheckId, verify, verify_all
+from .verify import CheckId, describe, verify, verify_all
 
 # -- rendering ----------------------------------------------------------------
 
@@ -407,7 +407,7 @@ def cmd_verify(ns):
     for r in reports:
         entry = {
             "check": r.check.value,
-            "description": CHECK_DESCRIPTIONS[r.check],
+            "description": describe(r.check),
             "applicable": r.applicable,
             "holds": r.holds,
             "reason": r.reason,

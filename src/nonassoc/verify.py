@@ -40,7 +40,6 @@ from .algebra import (
     is_left_ideal,
     is_right_nil,
     is_subalgebra,
-    mul_operator,
     opposite,
     quotient,
     restrict,
@@ -129,9 +128,7 @@ class VerificationReport:
 
 
 class _NotApplicable(Exception):
-    def __init__(self, reason):
-        self.reason = reason
-        super().__init__(reason)
+    """Raised by a check whose hypotheses fail; the message is the reason."""
 
 
 _MIRROR_KIND = {
@@ -147,28 +144,10 @@ _MIRROR_KIND = {
     IdentityKind.COMMUTATIVE: IdentityKind.COMMUTATIVE,
 }
 
+_NOVIKOV = (IdentityKind.NOVIKOV_LEFT, IdentityKind.NOVIKOV_RIGHT)
+
 _SAMPLE_SEED = 0x5EED
 _SAMPLE_COUNT = 24
-
-CERTIFIED_KEYS = (
-    "identities",
-    "radical_solvable",
-    "radical_nil",
-    "radical_right_nil",
-    "radical_left_nil",
-    "phi",
-    "frattini_subalgebra",
-    "maximal_subalgebras",
-    "minimal_ideals",
-    "ideals",
-    "subalgebras",
-    "chief_series",
-    "zero_socle_complement",
-    "square_complement",
-    "semisimple_part",
-    "radical_complement",
-    "simple_summands",
-)
 
 # shape of each certifiable entry, used by the file format as well
 CERTIFIED_SUBSPACE_KEYS = (
@@ -191,13 +170,7 @@ CERTIFIED_SUBSPACE_LIST_KEYS = (
     "chief_series",
     "simple_summands",
 )
-
-_RADICAL_KEY = {
-    RadicalKind.SOLVABLE: "radical_solvable",
-    RadicalKind.NIL: "radical_nil",
-    RadicalKind.RIGHT_NIL: "radical_right_nil",
-    RadicalKind.LEFT_NIL: "radical_left_nil",
-}
+CERTIFIED_KEYS = ("identities",) + CERTIFIED_SUBSPACE_KEYS + CERTIFIED_SUBSPACE_LIST_KEYS
 
 # reversing all products swaps the two one-sided nilpotency notions
 _MIRROR_RADICAL = {
@@ -326,13 +299,15 @@ class Analyzer:
 
     # -- ingredients: enumerated over finite fields, certified over Q ---------
 
-    def _ingredient(self, cache_key, cert_key, computed, coerce, what):
+    def _ingredient(self, cache_key, what, computed, coerce=None):
         """Look up a fact about the algebra, computing or trusting as needed.
 
-        Facts handled here are two-sided (unchanged by reversing products), so
-        the cache and the certificate dictionary of the base orientation serve
-        the mirrored view as well; callers translate orientation-sensitive
-        keys (the one-sided radicals) before calling.
+        `cache_key` also names the fact in a certificate, whose entry is read
+        with `coerce` (by default as the key's declared shape).  Facts handled
+        here are two-sided (unchanged by reversing products), so the cache and
+        the certificate dictionary of the base orientation serve the mirrored
+        view as well; callers translate orientation-sensitive keys (the
+        one-sided radicals) before calling.
         """
         base = self._mirror_of if self._mirror_of is not None else self
         cache = base._shared_cache
@@ -350,9 +325,12 @@ class Analyzer:
                 raise _NotApplicable(f"budget exceeded while computing {what}: {e}")
             cache[cache_key] = (value, None, ())
             return value
-        if cert_key in base.certified:
+        if cache_key in base.certified:
+            if coerce is None:
+                single = cache_key in CERTIFIED_SUBSPACE_KEYS
+                coerce = self._subspace if single else self._subspaces
             mark = len(self._notes)
-            value = coerce(base.certified[cert_key])
+            value = coerce(base.certified[cache_key])
             notes = tuple(self._notes[mark:])
             assumption = f"{what} taken from certificate"
             cache[cache_key] = (value, assumption, notes)
@@ -360,111 +338,87 @@ class Analyzer:
             return value
         raise _NotApplicable(f"requires a finite field (no certified {what})")
 
+    def _subspace(self, value):
+        return _coerce_subspace(self.algebra.field, self.algebra.dim, value)
+
+    def _subspaces(self, value):
+        return _coerce_subspace_list(self.algebra.field, self.algebra.dim, value)
+
     def radical(self, kind):
         kind = RadicalKind(kind)
+        base = self
         if self._mirror_of is not None:
+            base = self._mirror_of
             kind = _MIRROR_RADICAL[kind]
-            A = self._mirror_of.algebra
-            budget = self.budget
-            return self._ingredient(
-                ("radical", kind),
-                _RADICAL_KEY[kind],
-                lambda: enumerate_radical(A, kind, budget),
-                lambda v: _coerce_subspace(A.field, A.dim, v),
-                f"{kind.value} radical",
-            )
-        A = self.algebra
         return self._ingredient(
-            ("radical", kind),
-            _RADICAL_KEY[kind],
-            lambda: enumerate_radical(A, kind, self.budget),
-            lambda v: _coerce_subspace(A.field, A.dim, v),
+            f"radical_{kind.name.lower()}",
             f"{kind.value} radical",
+            lambda: enumerate_radical(base.algebra, kind, self.budget),
         )
 
     def phi(self):
-        A = self.algebra
         return self._ingredient(
             "phi",
-            "phi",
-            lambda: frattini(A, self.budget).ideal,
-            lambda v: _coerce_subspace(A.field, A.dim, v),
             "Frattini ideal",
+            lambda: frattini(self.algebra, self.budget).ideal,
         )
 
     def frattini_subalgebra(self):
-        A = self.algebra
         return self._ingredient(
             "frattini_subalgebra",
-            "frattini_subalgebra",
-            lambda: frattini(A, self.budget).subalgebra,
-            lambda v: _coerce_subspace(A.field, A.dim, v),
             "Frattini subalgebra",
+            lambda: frattini(self.algebra, self.budget).subalgebra,
         )
 
     def ideals(self):
         A = self.algebra
 
-        def computed():
-            return enumerate_ideals(A, self.budget)
-
         def coerce(v):
-            out = _coerce_subspace_list(A.field, A.dim, v)
+            out = self._subspaces(v)
             for extra in (A.zero_space(), A.full_space()):
                 if extra not in out:
                     out.append(extra)
             out.sort(key=lambda s: s.sort_key())
             return out
 
-        return self._ingredient("ideals", "ideals", computed, coerce, "ideal list")
+        return self._ingredient(
+            "ideals",
+            "ideal list",
+            lambda: enumerate_ideals(A, self.budget),
+            coerce,
+        )
 
     def minimal_ideals(self):
-        A = self.algebra
         return self._ingredient(
             "minimal_ideals",
-            "minimal_ideals",
-            lambda: enumerate_minimal_ideals(A, self.budget),
-            lambda v: _coerce_subspace_list(A.field, A.dim, v),
             "minimal ideal list",
+            lambda: enumerate_minimal_ideals(self.algebra, self.budget),
         )
 
     def subalgebras(self):
-        A = self.algebra
-
         def coerce(v):
             self.note("subalgebra quantification sampled from certificate")
-            return _coerce_subspace_list(A.field, A.dim, v)
+            return self._subspaces(v)
 
         return self._ingredient(
             "subalgebras",
-            "subalgebras",
-            lambda: enumerate_subalgebras(A, self.budget),
-            coerce,
             "subalgebra list",
+            lambda: enumerate_subalgebras(self.algebra, self.budget),
+            coerce,
         )
 
     def maximal_subalgebras(self):
-        A = self.algebra
         return self._ingredient(
             "maximal_subalgebras",
-            "maximal_subalgebras",
-            lambda: enumerate_maximal_subalgebras(A, self.budget),
-            lambda v: _coerce_subspace_list(A.field, A.dim, v),
             "maximal subalgebra list",
+            lambda: enumerate_maximal_subalgebras(self.algebra, self.budget),
         )
 
     def chief_series_ideals(self):
-        A = self.algebra
-
-        def computed():
-            return list(chief_series(A).ideals)
-
         return self._ingredient(
             "chief_series",
-            "chief_series",
-            computed,
-            lambda v: _coerce_subspace_list(A.field, A.dim, v),
             "chief series",
+            lambda: list(chief_series(self.algebra).ideals),
         )
 
     def socle(self):
@@ -481,10 +435,9 @@ class Analyzer:
         return ech.subspace()
 
     def certified_subspace(self, key, what):
-        A = self.algebra
         if key not in self.certified:
             raise _NotApplicable(f"requires a certified {what}")
-        value = _coerce_subspace(A.field, A.dim, self.certified[key])
+        value = self._subspace(self.certified[key])
         self.assume(f"{what} taken from certificate")
         return value
 
@@ -530,27 +483,124 @@ def _require(condition, reason):
         raise _NotApplicable(reason)
 
 
-def _matrix_is_zero(m):
-    zero = m.field.zero
-    return all(entry == zero for row in m.rows for entry in row)
-
-
-def _operator_nilpotent(A, vec, side):
-    m = mul_operator(A, vec, side).matrix
-    power = m
-    for _ in range(max(A.dim - 1, 0)):
-        if _matrix_is_zero(power):
-            return True
-        power = power @ m
-    return _matrix_is_zero(power)
-
-
 def _holds(witness=None):
     return True, witness, None
 
 
 def _fails(counterexample):
     return False, None, counterexample
+
+
+# ---------------------------------------------------------------------------
+# check registry: @_check declares a check's function and description once
+# ---------------------------------------------------------------------------
+
+# `_run_check` reads _CHECK_FUNCS at each call, so an entry rebound by a
+# profiler or test wrapper takes effect without re-importing
+_CHECK_FUNCS = {}
+_DESCRIPTIONS = {}
+
+
+def _check(check, description):
+    def register(fn):
+        _CHECK_FUNCS[check] = fn
+        _DESCRIPTIONS[check] = description
+        return fn
+
+    return register
+
+
+def describe(check) -> str:
+    """One-line summary of what a check asserts."""
+    return _DESCRIPTIONS[CheckId(check)]
+
+
+# ---------------------------------------------------------------------------
+# steps shared by several checks
+# ---------------------------------------------------------------------------
+
+
+def _orientations(z, right, left, reason):
+    """(view, label) pairs: the algebra itself when the right-hand hypothesis
+    holds, and its opposite when the left-hand one does; `reason` if neither."""
+    _require(right or left, reason)
+    views = [(z, "right")] if right else []
+    if left:
+        views.append((z.mirrored(), "left"))
+    return views
+
+
+def _commutative_orientations(z):
+    return _orientations(
+        z,
+        z.identity(IdentityKind.RIGHT_COMMUTATIVE),
+        z.identity(IdentityKind.LEFT_COMMUTATIVE),
+        "requires a right or left commutative algebra",
+    )
+
+
+def _complement(z, sub, cert_key, what, inside=None):
+    """A subalgebra complement to `sub` (within `inside`, default the whole
+    algebra): the first one found over F_p, None if there is none; over Q the
+    certified one."""
+    if z.algebra.field.is_finite:
+        return find_complement_subalgebra(z.algebra, sub, inside, z.budget)
+    return z.certified_subspace(cert_key, what)
+
+
+def _is_complement(A, comp, sub, whole):
+    """Is `comp` a subalgebra with comp & sub = 0 and comp + sub = whole?"""
+    return (
+        comp is not None
+        and is_subalgebra(A, comp)
+        and subspace_intersect(comp, sub).is_zero()
+        and subspace_sum(comp, sub) == whole
+    )
+
+
+def _simplicity_failure(z, m):
+    """Counterexample entries showing the ideal `m` is not simple, or None.
+
+    Decided over F_p; over Q only m*m = m is tested and simplicity assumed.
+    """
+    if z.algebra.field.is_finite:
+        bad = simple_ideal_failure(z.algebra, m, z.budget)
+        return None if bad is None else {"detail": bad}
+    if z.prod(m, m) != m:
+        return {"summand": m}
+    z.assume("simplicity of certified minimal ideals not re-verified over Q")
+    return None
+
+
+def _identity_counterexample(algebra, kind, problem, indices_key="basis_indices", **extra):
+    """The first basis tuple violating `kind` as a counterexample, or None."""
+    failure = first_identity_failure(algebra, kind)
+    if failure is None:
+        return None
+    _, indices, lhs, rhs = failure
+    return {"problem": problem, indices_key: indices, **extra, "lhs": lhs, "rhs": rhs}
+
+
+def _annihilator_failure(A, ideal_list):
+    """A counterexample if the annihilator of some listed ideal is not an ideal."""
+    for b in ideal_list:
+        ann = annihilator(A, b)
+        if not is_ideal(A, ann):
+            return {
+                "problem": "annihilator of an ideal is not an ideal",
+                "ideal": b,
+                "annihilator": ann,
+            }
+    return None
+
+
+def _phi_nilpotent(view):
+    """Conclude that the Frattini ideal is nilpotent."""
+    phi = view.phi()
+    prof = view.profile(phi)
+    if not prof.nilpotent:
+        return _fails({"problem": "Frattini ideal is not nilpotent", "phi": phi})
+    return _holds({"phi": phi, "nilpotent_index": prof.nilpotent_index})
 
 
 # ---------------------------------------------------------------------------
@@ -590,37 +640,30 @@ def _check_natural_product(z, kinds, extra_novikov=False):
                             "term": term,
                         }
                     )
-        for b in ideal_list:
-            ann = annihilator(A, b)
-            if not is_ideal(A, ann):
-                return _fails(
-                    {
-                        "problem": "annihilator of an ideal is not an ideal",
-                        "ideal": b,
-                        "annihilator": ann,
-                    }
-                )
+        counterexample = _annihilator_failure(A, ideal_list)
+        if counterexample:
+            return _fails(counterexample)
         checked["series_terms"] = True
         checked["annihilators"] = len(ideal_list)
     return _holds(checked)
 
 
+@_check(CheckId.NATURAL_PRODUCT_BICOMMUTATIVE, "products of ideals are ideals (bicommutative)")
 def check_natural_product_bicommutative(z):
     return _check_natural_product(z, (IdentityKind.BICOMMUTATIVE,))
 
 
+@_check(CheckId.NATURAL_PRODUCT_ASSOSYMMETRIC, "products of ideals are ideals (assosymmetric)")
 def check_natural_product_assosymmetric(z):
     return _check_natural_product(z, (IdentityKind.ASSOSYMMETRIC,))
 
 
+@_check(CheckId.NATURAL_PRODUCT_NOVIKOV, "products of ideals, series terms and annihilators are ideals (Novikov)")
 def check_natural_product_novikov(z):
-    return _check_natural_product(
-        z,
-        (IdentityKind.NOVIKOV_LEFT, IdentityKind.NOVIKOV_RIGHT),
-        extra_novikov=True,
-    )
+    return _check_natural_product(z, _NOVIKOV, extra_novikov=True)
 
 
+@_check(CheckId.NILPOTENT_MAX_SUBALG_IDEAL, "maximal subalgebras of a nilpotent algebra are ideals")
 def check_nilpotent_max_subalg_ideal(z):
     _require(z.profile().nilpotent, "requires a nilpotent algebra")
     A = z.algebra
@@ -631,6 +674,7 @@ def check_nilpotent_max_subalg_ideal(z):
     return _holds({"maximal_subalgebras": len(maximals)})
 
 
+@_check(CheckId.PHI_EQ_ASQ_NILPOTENT, "Frattini subalgebra = Frattini ideal = square for nilpotent algebras")
 def check_phi_eq_asq_nilpotent(z):
     _require(z.profile().nilpotent, "requires a nilpotent algebra")
     phi = z.phi()
@@ -670,6 +714,7 @@ def _require_ideal_products(z):
     )
 
 
+@_check(CheckId.WEAKLY_NILPOTENT_IMPLIES_NILPOTENT, "weakly nilpotent implies nilpotent, with 1-dimensional chief factors")
 def check_weakly_nilpotent_implies_nilpotent(z):
     prof = z.profile()
     _require(
@@ -705,56 +750,45 @@ def check_weakly_nilpotent_implies_nilpotent(z):
     return _holds(witness)
 
 
+@_check(CheckId.CHIEF_FACTOR_ANNIHILATED, "chief factors are annihilated by the one-sided nilradicals")
 def check_chief_factor_annihilated(z):
     _require(_has_natural_identity(z), "requires a natural identity class")
     right_nil = z.radical(RadicalKind.RIGHT_NIL)
     left_nil = z.radical(RadicalKind.LEFT_NIL)
     chain = z.chief_series_ideals()
     for index, (below, above) in enumerate(zip(chain, chain[1:])):
-        bn = z.prod(above, right_nil)
-        if not below.contains_subspace(bn):
-            return _fails(
-                {
-                    "problem": "chief factor not annihilated by the right nilradical",
-                    "factor_index": index,
-                    "product": bn,
-                    "below": below,
-                }
-            )
-        nb = z.prod(left_nil, above)
-        if not below.contains_subspace(nb):
-            return _fails(
-                {
-                    "problem": "chief factor not annihilated by the left nilradical",
-                    "factor_index": index,
-                    "product": nb,
-                    "below": below,
-                }
-            )
+        for side, product in (
+            ("right", z.prod(above, right_nil)),
+            ("left", z.prod(left_nil, above)),
+        ):
+            if not below.contains_subspace(product):
+                return _fails(
+                    {
+                        "problem": f"chief factor not annihilated by the {side} nilradical",
+                        "factor_index": index,
+                        "product": product,
+                        "below": below,
+                    }
+                )
     return _holds({"factors": len(chain) - 1})
 
 
+@_check(CheckId.DT1_ASQ_COMM_ASSOC, "the square of a bicommutative algebra is commutative and associative")
 def check_dt1_asq_comm_assoc(z):
     _require(z.identity(IdentityKind.BICOMMUTATIVE), "requires a bicommutative algebra")
     A = z.algebra
     square = z.square()
     sq_alg, emb = restrict(A, square)
     for kind in (IdentityKind.COMMUTATIVE, IdentityKind.ASSOCIATIVE):
-        failure = first_identity_failure(sq_alg, kind)
-        if failure is not None:
-            component, indices, lhs, rhs = failure
-            return _fails(
-                {
-                    "problem": f"square is not {kind.value}",
-                    "basis_indices": indices,
-                    "square_basis": emb,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                }
-            )
+        counterexample = _identity_counterexample(
+            sq_alg, kind, f"square is not {kind.value}", square_basis=emb
+        )
+        if counterexample:
+            return _fails(counterexample)
     return _holds({"square": square})
 
 
+@_check(CheckId.SOLVABLE_BICOMM_ASQ_NILPOTENT, "solvable bicommutative algebras have a nilpotent square")
 def check_solvable_bicomm_asq_nilpotent(z):
     _require(z.identity(IdentityKind.BICOMMUTATIVE), "requires a bicommutative algebra")
     prof = z.profile()
@@ -783,6 +817,7 @@ def check_solvable_bicomm_asq_nilpotent(z):
     return _holds({"square_nilpotent_index": square_prof.nilpotent_index})
 
 
+@_check(CheckId.AR_RA_NILPOTENT_BICOMM, "A*R and R*A are nilpotent ideals (bicommutative)")
 def check_ar_ra_nilpotent_bicomm(z):
     _require(z.identity(IdentityKind.BICOMMUTATIVE), "requires a bicommutative algebra")
     A = z.algebra
@@ -796,13 +831,9 @@ def check_ar_ra_nilpotent_bicomm(z):
     return _holds({"radical": rad})
 
 
+@_check(CheckId.FITTING_SUBALGEBRA, "one-sided Fitting components are subalgebras")
 def check_fitting_subalgebra(z):
-    sides = []
-    if z.identity(IdentityKind.RIGHT_COMMUTATIVE):
-        sides.append("right")
-    if z.identity(IdentityKind.LEFT_COMMUTATIVE):
-        sides.append("left")
-    _require(sides, "requires a right or left commutative algebra")
+    sides = [label for _, label in _commutative_orientations(z)]
     A = z.algebra
     count = 0
     for side in sides:
@@ -830,13 +861,9 @@ def _relative_right_nilpotent(z, sub, mod):
     return mod.contains_subspace(term)
 
 
+@_check(CheckId.FACTOR_ACTS_NILPOTENTLY, "subideals nilpotent modulo a Frattini piece act nilpotently")
 def check_factor_acts_nilpotently(z):
-    orientations = []
-    if z.identity(IdentityKind.RIGHT_COMMUTATIVE):
-        orientations.append((z, "right"))
-    if z.identity(IdentityKind.LEFT_COMMUTATIVE):
-        orientations.append((z.mirrored(), "left"))
-    _require(orientations, "requires a right or left commutative algebra")
+    orientations = _commutative_orientations(z)
     z.note("subideal quantification restricted to chief series terms")
     tested = 0
     for view, label in orientations:
@@ -854,7 +881,8 @@ def check_factor_acts_nilpotently(z):
             if not _relative_right_nilpotent(view, b, c):
                 continue
             for vec in view.element_stream(b):
-                if not _operator_nilpotent(A, vec, "right"):
+                # the operator is nilpotent iff its Fitting null component is A
+                if fitting_component(A, vec, "right").dim != A.dim:
                     return _fails(
                         {
                             "problem": "element of the subideal does not act nilpotently",
@@ -876,13 +904,9 @@ def check_factor_acts_nilpotently(z):
     return _holds({"elements_checked": tested})
 
 
+@_check(CheckId.PHI_RIGHT_NIL, "Frattini elements are one-sidedly nil")
 def check_phi_right_nil(z):
-    orientations = []
-    if z.identity(IdentityKind.RIGHT_COMMUTATIVE):
-        orientations.append((z, "right"))
-    if z.identity(IdentityKind.LEFT_COMMUTATIVE):
-        orientations.append((z.mirrored(), "left"))
-    _require(orientations, "requires a right or left commutative algebra")
+    orientations = _commutative_orientations(z)
     count = 0
     for view, label in orientations:
         phi = view.phi()
@@ -899,15 +923,13 @@ def check_phi_right_nil(z):
     return _holds({"elements_checked": count})
 
 
+@_check(CheckId.PHI_NILPOTENT_BICOMM, "the Frattini ideal of a bicommutative algebra is nilpotent")
 def check_phi_nilpotent_bicomm(z):
     _require(z.identity(IdentityKind.BICOMMUTATIVE), "requires a bicommutative algebra")
-    phi = z.phi()
-    prof = z.profile(phi)
-    if not prof.nilpotent:
-        return _fails({"problem": "Frattini ideal is not nilpotent", "phi": phi})
-    return _holds({"phi": phi, "nilpotent_index": prof.nilpotent_index})
+    return _phi_nilpotent(z)
 
 
+@_check(CheckId.MIN1_MINIMAL_IDEAL_SIDES, "minimal ideals annihilate the radical on one side")
 def check_min1_minimal_ideal_sides(z):
     _require(z.identity(IdentityKind.BICOMMUTATIVE), "requires a bicommutative algebra")
     rad = z.radical(RadicalKind.SOLVABLE)
@@ -929,18 +951,16 @@ def check_min1_minimal_ideal_sides(z):
     return _holds({"minimal_ideals": len(z.minimal_ideals()), "radical": rad})
 
 
+@_check(CheckId.BIMAX_RIGHT_NILPOTENT, "one-sidedly nilpotent bicommutative: maximals are one-sided ideals, cube in phi")
 def check_bimax_right_nilpotent(z):
     _require(z.identity(IdentityKind.BICOMMUTATIVE), "requires a bicommutative algebra")
     prof = z.profile()
-    _require(
-        prof.right_nilpotent or prof.left_nilpotent,
+    views = _orientations(
+        z,
+        prof.right_nilpotent,
+        prof.left_nilpotent,
         "requires a one-sidedly nilpotent algebra",
     )
-    views = []
-    if prof.right_nilpotent:
-        views.append((z, "right"))
-    if prof.left_nilpotent:
-        views.append((z.mirrored(), "left"))
     for view, label in views:
         A = view.algebra
         phi = view.phi()
@@ -982,32 +1002,22 @@ def _check_ann_subalgebras(z, class_kinds, class_name):
                         name: value,
                     }
                 )
-    ideal_list = [b for b in z.ideals()]
-    for b in ideal_list:
-        ann = annihilator(A, b)
-        if not is_ideal(A, ann):
-            return _fails(
-                {
-                    "problem": "annihilator of an ideal is not an ideal",
-                    "ideal": b,
-                    "annihilator": ann,
-                }
-            )
+    ideal_list = z.ideals()
+    counterexample = _annihilator_failure(A, ideal_list)
+    if counterexample:
+        return _fails(counterexample)
     return _holds({"subalgebras": len(subs), "ideals": len(ideal_list)})
 
 
+@_check(CheckId.BIANN_SUBALGEBRAS, "idealizers and annihilators are subalgebras (bicommutative)")
 def check_biann_subalgebras(z):
     return _check_ann_subalgebras(z, (IdentityKind.BICOMMUTATIVE,), "bicommutative")
 
 
+@_check(CheckId.MINIMAL_IDEAL_ZERO_OR_SIMPLE, "minimal ideals square to zero or are simple")
 def check_minimal_ideal_zero_or_simple(z):
-    kinds = (
-        IdentityKind.BICOMMUTATIVE,
-        IdentityKind.NOVIKOV_LEFT,
-        IdentityKind.NOVIKOV_RIGHT,
-    )
     _require(
-        any(z.identity(k) for k in kinds),
+        any(z.identity(k) for k in (IdentityKind.BICOMMUTATIVE, *_NOVIKOV)),
         "requires a bicommutative or Novikov algebra",
     )
     A = z.algebra
@@ -1024,21 +1034,19 @@ def check_minimal_ideal_zero_or_simple(z):
                     "square": square,
                 }
             )
-        if A.field.is_finite:
-            bad = simple_ideal_failure(A, b, z.budget)
-            if bad is not None:
-                return _fails(
-                    {
-                        "problem": "minimal ideal with nonzero square is not simple",
-                        "minimal_ideal": b,
-                        "detail": bad,
-                    }
-                )
-        else:
-            z.assume("simplicity of certified minimal ideals not re-verified over Q")
+        bad = _simplicity_failure(z, b)
+        if bad:
+            return _fails(
+                {
+                    "problem": "minimal ideal with nonzero square is not simple",
+                    "minimal_ideal": b,
+                    **bad,
+                }
+            )
     return _holds({"minimal_ideals": len(z.minimal_ideals())})
 
 
+@_check(CheckId.SS_IDEALS_IN_ASQ, "semisimple: ideals inside the square are sums of simple minimal ideals")
 def check_ss_ideals_in_asq(z):
     _require(z.identity(IdentityKind.BICOMMUTATIVE), "requires a bicommutative algebra")
     rad = z.radical(RadicalKind.SOLVABLE)
@@ -1059,29 +1067,19 @@ def check_ss_ideals_in_asq(z):
                 }
             )
         for m in parts:
-            if A.field.is_finite:
-                bad = simple_ideal_failure(A, m, z.budget)
-                if bad is not None:
-                    return _fails(
-                        {
-                            "problem": "summand of an ideal inside the square is not simple",
-                            "ideal": b,
-                            "detail": bad,
-                        }
-                    )
-            elif z.prod(m, m) != m:
+            bad = _simplicity_failure(z, m)
+            if bad:
                 return _fails(
                     {
                         "problem": "summand of an ideal inside the square is not simple",
                         "ideal": b,
-                        "summand": m,
+                        **bad,
                     }
                 )
-            else:
-                z.assume("simplicity of certified minimal ideals not re-verified over Q")
     return _holds({"square": square})
 
 
+@_check(CheckId.BISS_DECOMPOSITION, "semisimple bicommutative splits as simples plus a square-zero complement")
 def check_biss_decomposition(z):
     _require(z.identity(IdentityKind.BICOMMUTATIVE), "requires a bicommutative algebra")
     rad = z.radical(RadicalKind.SOLVABLE)
@@ -1098,25 +1096,13 @@ def check_biss_decomposition(z):
             }
         )
     for s in simples:
-        if A.field.is_finite:
-            bad = simple_ideal_failure(A, s, z.budget)
-            if bad is not None:
-                return _fails({"problem": "summand is not simple", "detail": bad})
-        elif z.prod(s, s) != s:
-            return _fails({"problem": "summand is not simple", "summand": s})
-        else:
-            z.assume("simplicity of certified minimal ideals not re-verified over Q")
-    if A.field.is_finite:
-        comp = find_complement_subalgebra(A, square, None, z.budget)
-    else:
-        comp = z.certified_subspace("square_complement", "complement to the square")
+        bad = _simplicity_failure(z, s)
+        if bad:
+            return _fails({"problem": "summand is not simple", **bad})
+    comp = _complement(z, square, "square_complement", "complement to the square")
     if comp is None:
         return _fails({"problem": "no subalgebra complement to the square", "square": square})
-    if not (
-        subspace_intersect(comp, square).is_zero()
-        and subspace_sum(comp, square) == A.full_space()
-        and is_subalgebra(A, comp)
-    ):
+    if not _is_complement(A, comp, square, A.full_space()):
         return _fails(
             {
                 "problem": "supplied complement is not a complement subalgebra",
@@ -1148,33 +1134,31 @@ def check_biss_decomposition(z):
     )
 
 
-def _characteristic_ok(z):
-    field = z.algebra.field
-    return not (field.is_finite and field.order in (2, 3))
-
-
-def check_kleinfeld_semisimple_associative(z):
+def _require_assosymmetric(z):
     _require(z.identity(IdentityKind.ASSOSYMMETRIC), "requires an assosymmetric algebra")
-    _require(_characteristic_ok(z), "not applicable in characteristic 2 or 3")
+    field = z.algebra.field
+    _require(
+        not (field.is_finite and field.order in (2, 3)),
+        "not applicable in characteristic 2 or 3",
+    )
+
+
+@_check(CheckId.KLEINFELD_SEMISIMPLE_ASSOCIATIVE, "assosymmetric with no zero ideals is associative")
+def check_kleinfeld_semisimple_associative(z):
+    _require_assosymmetric(z)
     zsoc = z.zero_socle()
     _require(zsoc.is_zero(), "requires an algebra with no nonzero zero ideals")
-    failure = first_identity_failure(z.algebra, IdentityKind.ASSOCIATIVE)
-    if failure is not None:
-        component, indices, lhs, rhs = failure
-        return _fails(
-            {
-                "problem": "not associative",
-                "basis_indices": indices,
-                "lhs": lhs,
-                "rhs": rhs,
-            }
-        )
+    counterexample = _identity_counterexample(
+        z.algebra, IdentityKind.ASSOCIATIVE, "not associative"
+    )
+    if counterexample:
+        return _fails(counterexample)
     return _holds({"associative": True})
 
 
+@_check(CheckId.ASSOSYM_SOLVABLE_IS_NILPOTENT, "solvable assosymmetric algebras are nilpotent")
 def check_assosym_solvable_is_nilpotent(z):
-    _require(z.identity(IdentityKind.ASSOSYMMETRIC), "requires an assosymmetric algebra")
-    _require(_characteristic_ok(z), "not applicable in characteristic 2 or 3")
+    _require_assosymmetric(z)
     prof = z.profile()
     _require(prof.solvable, "requires a solvable algebra")
     if not prof.nilpotent:
@@ -1187,33 +1171,26 @@ def check_assosym_solvable_is_nilpotent(z):
     return _holds({"nilpotent_index": prof.nilpotent_index})
 
 
+@_check(CheckId.ASSOSYM_QUOTIENT_ASSOCIATIVE, "assosymmetric quotient by the nilradical is associative")
 def check_assosym_quotient_associative(z):
-    _require(z.identity(IdentityKind.ASSOSYMMETRIC), "requires an assosymmetric algebra")
-    _require(_characteristic_ok(z), "not applicable in characteristic 2 or 3")
+    _require_assosymmetric(z)
     nil = z.radical(RadicalKind.NIL)
     q_alg, _ = quotient(z.algebra, nil)
-    failure = first_identity_failure(q_alg, IdentityKind.ASSOCIATIVE)
-    if failure is not None:
-        component, indices, lhs, rhs = failure
-        return _fails(
-            {
-                "problem": "quotient by the nilradical is not associative",
-                "quotient_basis_indices": indices,
-                "lhs": lhs,
-                "rhs": rhs,
-            }
-        )
+    counterexample = _identity_counterexample(
+        q_alg,
+        IdentityKind.ASSOCIATIVE,
+        "quotient by the nilradical is not associative",
+        indices_key="quotient_basis_indices",
+    )
+    if counterexample:
+        return _fails(counterexample)
     return _holds({"nilradical": nil, "quotient_dim": q_alg.dim})
 
 
+@_check(CheckId.ASSOSYM_PHI_NILPOTENT, "the Frattini ideal of an assosymmetric algebra is nilpotent")
 def check_assosym_phi_nilpotent(z):
-    _require(z.identity(IdentityKind.ASSOSYMMETRIC), "requires an assosymmetric algebra")
-    _require(_characteristic_ok(z), "not applicable in characteristic 2 or 3")
-    phi = z.phi()
-    prof = z.profile(phi)
-    if not prof.nilpotent:
-        return _fails({"problem": "Frattini ideal is not nilpotent", "phi": phi})
-    return _holds({"phi": phi, "nilpotent_index": prof.nilpotent_index})
+    _require_assosymmetric(z)
+    return _phi_nilpotent(z)
 
 
 def _novikov_view(z):
@@ -1225,6 +1202,7 @@ def _novikov_view(z):
     raise _NotApplicable("requires a Novikov algebra")
 
 
+@_check(CheckId.NOVIKOV_EQUIVALENCES, "right nilpotent = square nilpotent = solvable (Novikov)")
 def check_novikov_equivalences(z):
     view = _novikov_view(z)
     prof = view.profile()
@@ -1240,6 +1218,7 @@ def check_novikov_equivalences(z):
     return _holds(conditions)
 
 
+@_check(CheckId.LEFT_NILPOTENT_NOVIKOV_NILPOTENT, "left nilpotent Novikov algebras are nilpotent")
 def check_left_nilpotent_novikov_nilpotent(z):
     view = _novikov_view(z)
     prof = view.profile()
@@ -1254,16 +1233,14 @@ def check_left_nilpotent_novikov_nilpotent(z):
     return _holds({"nilpotent_index": prof.nilpotent_index})
 
 
+@_check(CheckId.NOVIKOV_SOLVABLE_PHI_NILPOTENT, "solvable Novikov: the Frattini ideal is nilpotent")
 def check_novikov_solvable_phi_nilpotent(z):
     view = _novikov_view(z)
     _require(view.profile().solvable, "requires a solvable algebra")
-    phi = view.phi()
-    prof = view.profile(phi)
-    if not prof.nilpotent:
-        return _fails({"problem": "Frattini ideal is not nilpotent", "phi": phi})
-    return _holds({"phi": phi, "nilpotent_index": prof.nilpotent_index})
+    return _phi_nilpotent(view)
 
 
+@_check(CheckId.NOVAR_AR_NILPOTENT, "A*R is a nilpotent ideal (Novikov)")
 def check_novar_ar_nilpotent(z):
     view = _novikov_view(z)
     A = view.algebra
@@ -1277,12 +1254,12 @@ def check_novar_ar_nilpotent(z):
     return _holds({"product": product, "nilpotent_index": prof.nilpotent_index})
 
 
+@_check(CheckId.NOVIKOV_ANN_SUBALGEBRAS, "idealizers and annihilators are subalgebras (Novikov)")
 def check_novikov_ann_subalgebras(z):
-    return _check_ann_subalgebras(
-        z, (IdentityKind.NOVIKOV_LEFT, IdentityKind.NOVIKOV_RIGHT), "Novikov"
-    )
+    return _check_ann_subalgebras(z, _NOVIKOV, "Novikov")
 
 
+@_check(CheckId.SPLIT_IFF_PHI_FREE, "phi-free if and only if the algebra splits over its zero socle")
 def check_split_iff_phi_free(z):
     phi = z.phi()
     _require(
@@ -1292,17 +1269,8 @@ def check_split_iff_phi_free(z):
     A = z.algebra
     zsoc = z.zero_socle()
     if phi.is_zero():
-        if A.field.is_finite:
-            comp = find_complement_subalgebra(A, zsoc, None, z.budget)
-        else:
-            comp = z.certified_subspace(
-                "zero_socle_complement", "complement to the zero socle"
-            )
-        if comp is None or not (
-            is_subalgebra(A, comp)
-            and subspace_intersect(comp, zsoc).is_zero()
-            and subspace_sum(comp, zsoc) == A.full_space()
-        ):
+        comp = _complement(z, zsoc, "zero_socle_complement", "complement to the zero socle")
+        if not _is_complement(A, comp, zsoc, A.full_space()):
             return _fails(
                 {
                     "problem": "phi-free algebra does not split over its zero socle",
@@ -1332,15 +1300,10 @@ def check_split_iff_phi_free(z):
     return _holds({"zero_socle": zsoc, "phi": phi, "phi_free": False})
 
 
+@_check(CheckId.T_SOCLE_EQUALITIES, "phi-free: zero socle = nilradical = annihilator of the socle")
 def check_t_socle_equalities(z):
-    kinds = (
-        IdentityKind.BICOMMUTATIVE,
-        IdentityKind.ASSOSYMMETRIC,
-        IdentityKind.NOVIKOV_LEFT,
-        IdentityKind.NOVIKOV_RIGHT,
-    )
     _require(
-        any(z.identity(k) for k in kinds),
+        _has_natural_identity(z),
         "requires a bicommutative, assosymmetric or Novikov algebra",
     )
     phi = z.phi()
@@ -1360,6 +1323,7 @@ def check_t_socle_equalities(z):
     )
 
 
+@_check(CheckId.BIPHIFREE_STRUCTURE, "phi-free bicommutative structure decomposition")
 def check_biphifree_structure(z):
     _require(z.identity(IdentityKind.BICOMMUTATIVE), "requires a bicommutative algebra")
     A = z.algebra
@@ -1381,17 +1345,8 @@ def check_biphifree_structure(z):
                 }
             )
         return _holds({"phi": phi, "phi_free": False})
-    if A.field.is_finite:
-        comp = find_complement_subalgebra(A, zsoc, None, z.budget)
-    else:
-        comp = z.certified_subspace(
-            "zero_socle_complement", "complement to the zero socle"
-        )
-    if comp is None or not (
-        is_subalgebra(A, comp)
-        and subspace_intersect(comp, zsoc).is_zero()
-        and subspace_sum(comp, zsoc) == A.full_space()
-    ):
+    comp = _complement(z, zsoc, "zero_socle_complement", "complement to the zero socle")
+    if not _is_complement(A, comp, zsoc, A.full_space()):
         return _fails(
             {
                 "problem": "no subalgebra complement to the zero socle",
@@ -1416,15 +1371,10 @@ def check_biphifree_structure(z):
         return _fails(
             {"problem": "complement overlap does not square to zero", "overlap": zero_part}
         )
-    if A.field.is_finite:
-        semi = find_complement_subalgebra(A, zero_part, inside=comp, budget=z.budget)
-    else:
-        semi = z.certified_subspace("semisimple_part", "semisimple part of the complement")
-    if semi is None or not (
-        is_subalgebra(A, semi)
-        and subspace_intersect(semi, zero_part).is_zero()
-        and subspace_sum(semi, zero_part) == comp
-    ):
+    semi = _complement(
+        z, zero_part, "semisimple_part", "semisimple part of the complement", inside=comp
+    )
+    if not _is_complement(A, semi, zero_part, comp):
         return _fails(
             {
                 "problem": "complement does not split into zero part plus subalgebra",
@@ -1498,23 +1448,15 @@ def check_biphifree_structure(z):
     return _holds(witness)
 
 
+@_check(CheckId.PHIFREE_NOVIKOV, "phi-free Novikov: the algebra annihilates the complement-radical overlap")
 def check_phifree_novikov(z):
     view = _novikov_view(z)
     A = view.algebra
     phi = view.phi()
     _require(phi.is_zero(), "requires a phi-free algebra")
     zsoc = view.zero_socle()
-    if A.field.is_finite:
-        comp = find_complement_subalgebra(A, zsoc, None, view.budget)
-    else:
-        comp = view.certified_subspace(
-            "zero_socle_complement", "complement to the zero socle"
-        )
-    if comp is None or not (
-        is_subalgebra(A, comp)
-        and subspace_intersect(comp, zsoc).is_zero()
-        and subspace_sum(comp, zsoc) == A.full_space()
-    ):
+    comp = _complement(view, zsoc, "zero_socle_complement", "complement to the zero socle")
+    if not _is_complement(A, comp, zsoc, A.full_space()):
         return _fails(
             {
                 "problem": "phi-free algebra does not split over its zero socle",
@@ -1536,6 +1478,7 @@ def check_phifree_novikov(z):
     return _holds({"zero_socle": zsoc, "complement": comp, "overlap": overlap})
 
 
+@_check(CheckId.ARR_INCLUSIONS, "(A*R)*R inside phi inside the square (Novikov)")
 def check_arr_inclusions(z):
     view = _novikov_view(z)
     A = view.algebra
@@ -1555,6 +1498,7 @@ def check_arr_inclusions(z):
 
 
 def _char0_novikov_base(z):
+    """The Novikov view, its radical, Frattini ideal and radical square."""
     view = _novikov_view(z)
     _require(
         not z.algebra.field.is_finite,
@@ -1562,14 +1506,14 @@ def _char0_novikov_base(z):
     )
     rad = view.radical(RadicalKind.SOLVABLE)
     phi = view.phi()
-    return view, rad, phi
+    return view, rad, phi, view.prod(rad, rad)
 
 
+@_check(CheckId.CHAR0_NOVIKOV_SPLIT, "char 0 Novikov, nilpotent radical: phi-free iff zero radical plus fields")
 def check_char0_novikov_split(z):
-    view, rad, phi = _char0_novikov_base(z)
+    view, rad, phi, rad_sq = _char0_novikov_base(z)
     _require(view.profile(rad).nilpotent, "requires a nilpotent radical")
     A = view.algebra
-    rad_sq = view.prod(rad, rad)
     if not phi.is_zero():
         if rad_sq.is_zero():
             return _fails(
@@ -1582,11 +1526,7 @@ def check_char0_novikov_split(z):
         z.note("non-split direction settled via the radical square")
         return _holds({"phi": phi, "radical_square": rad_sq})
     comp = view.certified_subspace("radical_complement", "complement to the radical")
-    if not (
-        is_subalgebra(A, comp)
-        and subspace_intersect(comp, rad).is_zero()
-        and subspace_sum(comp, rad) == A.full_space()
-    ):
+    if not _is_complement(A, comp, rad, A.full_space()):
         return _fails(
             {
                 "problem": "supplied complement to the radical is not a complement subalgebra",
@@ -1630,10 +1570,10 @@ def check_char0_novikov_split(z):
     return _holds(witness)
 
 
+@_check(CheckId.CHAR0_RAD_ZERO_ALGEBRA, "char 0 Novikov, nilpotent radical: phi-free iff the radical squares to zero")
 def check_char0_rad_zero_algebra(z):
-    view, rad, phi = _char0_novikov_base(z)
+    view, rad, phi, rad_sq = _char0_novikov_base(z)
     _require(view.profile(rad).nilpotent, "requires a nilpotent radical")
-    rad_sq = view.prod(rad, rad)
     if phi.is_zero() != rad_sq.is_zero():
         return _fails(
             {
@@ -1645,9 +1585,9 @@ def check_char0_rad_zero_algebra(z):
     return _holds({"phi_free": phi.is_zero(), "radical_square_zero": rad_sq.is_zero()})
 
 
+@_check(CheckId.CHAR0_PHI_IN_RSQ, "char 0 Novikov: phi inside the radical square, and nilpotent")
 def check_char0_phi_in_rsq(z):
-    view, rad, phi = _char0_novikov_base(z)
-    rad_sq = view.prod(rad, rad)
+    view, rad, phi, rad_sq = _char0_novikov_base(z)
     if not rad_sq.contains_subspace(phi):
         return _fails(
             {
@@ -1662,10 +1602,10 @@ def check_char0_phi_in_rsq(z):
     return _holds({"phi": phi, "radical_square": rad_sq})
 
 
+@_check(CheckId.CHAR0_PHI_EQ_RSQ, "char 0 Novikov, nilpotent radical: phi equals the radical square")
 def check_char0_phi_eq_rsq(z):
-    view, rad, phi = _char0_novikov_base(z)
+    view, rad, phi, rad_sq = _char0_novikov_base(z)
     _require(view.profile(rad).nilpotent, "requires a nilpotent radical")
-    rad_sq = view.prod(rad, rad)
     if phi != rad_sq:
         return _fails(
             {
@@ -1677,6 +1617,7 @@ def check_char0_phi_eq_rsq(z):
     return _holds({"phi": phi})
 
 
+@_check(CheckId.A3_NOVIKOV_IFF_BICOMM, "vanishing cube: Novikov if and only if bicommutative")
 def check_a3_novikov_iff_bicomm(z):
     A = z.algebra
     full = A.full_space()
@@ -1702,6 +1643,7 @@ def check_a3_novikov_iff_bicomm(z):
     return _holds({"sides": tuple(label for _, label in sides)})
 
 
+@_check(CheckId.NOVMAX_IMPLICATIONS, "right nilpotent => cube in phi => maximals are left ideals (Novikov)")
 def check_novmax_implications(z):
     view = _novikov_view(z)
     A = view.algebra
@@ -1733,6 +1675,7 @@ def check_novmax_implications(z):
     )
 
 
+@_check(CheckId.SOLVABLE_BICOMM_A3_IFF_LEFT_IDEALS, "solvable bicommutative: cube in phi iff maximals are left ideals")
 def check_solvable_bicomm_a3_iff_left_ideals(z):
     _require(z.identity(IdentityKind.BICOMMUTATIVE), "requires a bicommutative algebra")
     _require(z.profile().solvable, "requires a solvable algebra")
@@ -1755,135 +1698,20 @@ def check_solvable_bicomm_a3_iff_left_ideals(z):
     return _holds({"cube_in_phi": lhs, "maximals_left_ideals": rhs})
 
 
-_CHECK_FUNCS = {
-    CheckId.NATURAL_PRODUCT_BICOMMUTATIVE: check_natural_product_bicommutative,
-    CheckId.NATURAL_PRODUCT_ASSOSYMMETRIC: check_natural_product_assosymmetric,
-    CheckId.NATURAL_PRODUCT_NOVIKOV: check_natural_product_novikov,
-    CheckId.NILPOTENT_MAX_SUBALG_IDEAL: check_nilpotent_max_subalg_ideal,
-    CheckId.PHI_EQ_ASQ_NILPOTENT: check_phi_eq_asq_nilpotent,
-    CheckId.WEAKLY_NILPOTENT_IMPLIES_NILPOTENT: check_weakly_nilpotent_implies_nilpotent,
-    CheckId.CHIEF_FACTOR_ANNIHILATED: check_chief_factor_annihilated,
-    CheckId.DT1_ASQ_COMM_ASSOC: check_dt1_asq_comm_assoc,
-    CheckId.SOLVABLE_BICOMM_ASQ_NILPOTENT: check_solvable_bicomm_asq_nilpotent,
-    CheckId.AR_RA_NILPOTENT_BICOMM: check_ar_ra_nilpotent_bicomm,
-    CheckId.FITTING_SUBALGEBRA: check_fitting_subalgebra,
-    CheckId.FACTOR_ACTS_NILPOTENTLY: check_factor_acts_nilpotently,
-    CheckId.PHI_RIGHT_NIL: check_phi_right_nil,
-    CheckId.PHI_NILPOTENT_BICOMM: check_phi_nilpotent_bicomm,
-    CheckId.MIN1_MINIMAL_IDEAL_SIDES: check_min1_minimal_ideal_sides,
-    CheckId.BIMAX_RIGHT_NILPOTENT: check_bimax_right_nilpotent,
-    CheckId.BIANN_SUBALGEBRAS: check_biann_subalgebras,
-    CheckId.MINIMAL_IDEAL_ZERO_OR_SIMPLE: check_minimal_ideal_zero_or_simple,
-    CheckId.SS_IDEALS_IN_ASQ: check_ss_ideals_in_asq,
-    CheckId.BISS_DECOMPOSITION: check_biss_decomposition,
-    CheckId.KLEINFELD_SEMISIMPLE_ASSOCIATIVE: check_kleinfeld_semisimple_associative,
-    CheckId.ASSOSYM_SOLVABLE_IS_NILPOTENT: check_assosym_solvable_is_nilpotent,
-    CheckId.ASSOSYM_QUOTIENT_ASSOCIATIVE: check_assosym_quotient_associative,
-    CheckId.ASSOSYM_PHI_NILPOTENT: check_assosym_phi_nilpotent,
-    CheckId.NOVIKOV_EQUIVALENCES: check_novikov_equivalences,
-    CheckId.LEFT_NILPOTENT_NOVIKOV_NILPOTENT: check_left_nilpotent_novikov_nilpotent,
-    CheckId.NOVIKOV_SOLVABLE_PHI_NILPOTENT: check_novikov_solvable_phi_nilpotent,
-    CheckId.NOVAR_AR_NILPOTENT: check_novar_ar_nilpotent,
-    CheckId.NOVIKOV_ANN_SUBALGEBRAS: check_novikov_ann_subalgebras,
-    CheckId.SPLIT_IFF_PHI_FREE: check_split_iff_phi_free,
-    CheckId.T_SOCLE_EQUALITIES: check_t_socle_equalities,
-    CheckId.BIPHIFREE_STRUCTURE: check_biphifree_structure,
-    CheckId.PHIFREE_NOVIKOV: check_phifree_novikov,
-    CheckId.ARR_INCLUSIONS: check_arr_inclusions,
-    CheckId.CHAR0_NOVIKOV_SPLIT: check_char0_novikov_split,
-    CheckId.CHAR0_RAD_ZERO_ALGEBRA: check_char0_rad_zero_algebra,
-    CheckId.CHAR0_PHI_IN_RSQ: check_char0_phi_in_rsq,
-    CheckId.CHAR0_PHI_EQ_RSQ: check_char0_phi_eq_rsq,
-    CheckId.A3_NOVIKOV_IFF_BICOMM: check_a3_novikov_iff_bicomm,
-    CheckId.NOVMAX_IMPLICATIONS: check_novmax_implications,
-    CheckId.SOLVABLE_BICOMM_A3_IFF_LEFT_IDEALS: check_solvable_bicomm_a3_iff_left_ideals,
-}
-
-CHECK_DESCRIPTIONS = {
-    CheckId.NATURAL_PRODUCT_BICOMMUTATIVE: "products of ideals are ideals (bicommutative)",
-    CheckId.NATURAL_PRODUCT_ASSOSYMMETRIC: "products of ideals are ideals (assosymmetric)",
-    CheckId.NATURAL_PRODUCT_NOVIKOV: "products of ideals, series terms and annihilators are ideals (Novikov)",
-    CheckId.NILPOTENT_MAX_SUBALG_IDEAL: "maximal subalgebras of a nilpotent algebra are ideals",
-    CheckId.PHI_EQ_ASQ_NILPOTENT: "Frattini subalgebra = Frattini ideal = square for nilpotent algebras",
-    CheckId.WEAKLY_NILPOTENT_IMPLIES_NILPOTENT: "weakly nilpotent implies nilpotent, with 1-dimensional chief factors",
-    CheckId.CHIEF_FACTOR_ANNIHILATED: "chief factors are annihilated by the one-sided nilradicals",
-    CheckId.DT1_ASQ_COMM_ASSOC: "the square of a bicommutative algebra is commutative and associative",
-    CheckId.SOLVABLE_BICOMM_ASQ_NILPOTENT: "solvable bicommutative algebras have a nilpotent square",
-    CheckId.AR_RA_NILPOTENT_BICOMM: "A*R and R*A are nilpotent ideals (bicommutative)",
-    CheckId.FITTING_SUBALGEBRA: "one-sided Fitting components are subalgebras",
-    CheckId.FACTOR_ACTS_NILPOTENTLY: "subideals nilpotent modulo a Frattini piece act nilpotently",
-    CheckId.PHI_RIGHT_NIL: "Frattini elements are one-sidedly nil",
-    CheckId.PHI_NILPOTENT_BICOMM: "the Frattini ideal of a bicommutative algebra is nilpotent",
-    CheckId.MIN1_MINIMAL_IDEAL_SIDES: "minimal ideals annihilate the radical on one side",
-    CheckId.BIMAX_RIGHT_NILPOTENT: "one-sidedly nilpotent bicommutative: maximals are one-sided ideals, cube in phi",
-    CheckId.BIANN_SUBALGEBRAS: "idealizers and annihilators are subalgebras (bicommutative)",
-    CheckId.MINIMAL_IDEAL_ZERO_OR_SIMPLE: "minimal ideals square to zero or are simple",
-    CheckId.SS_IDEALS_IN_ASQ: "semisimple: ideals inside the square are sums of simple minimal ideals",
-    CheckId.BISS_DECOMPOSITION: "semisimple bicommutative splits as simples plus a square-zero complement",
-    CheckId.KLEINFELD_SEMISIMPLE_ASSOCIATIVE: "assosymmetric with no zero ideals is associative",
-    CheckId.ASSOSYM_SOLVABLE_IS_NILPOTENT: "solvable assosymmetric algebras are nilpotent",
-    CheckId.ASSOSYM_QUOTIENT_ASSOCIATIVE: "assosymmetric quotient by the nilradical is associative",
-    CheckId.ASSOSYM_PHI_NILPOTENT: "the Frattini ideal of an assosymmetric algebra is nilpotent",
-    CheckId.NOVIKOV_EQUIVALENCES: "right nilpotent = square nilpotent = solvable (Novikov)",
-    CheckId.LEFT_NILPOTENT_NOVIKOV_NILPOTENT: "left nilpotent Novikov algebras are nilpotent",
-    CheckId.NOVIKOV_SOLVABLE_PHI_NILPOTENT: "solvable Novikov: the Frattini ideal is nilpotent",
-    CheckId.NOVAR_AR_NILPOTENT: "A*R is a nilpotent ideal (Novikov)",
-    CheckId.NOVIKOV_ANN_SUBALGEBRAS: "idealizers and annihilators are subalgebras (Novikov)",
-    CheckId.SPLIT_IFF_PHI_FREE: "phi-free if and only if the algebra splits over its zero socle",
-    CheckId.T_SOCLE_EQUALITIES: "phi-free: zero socle = nilradical = annihilator of the socle",
-    CheckId.BIPHIFREE_STRUCTURE: "phi-free bicommutative structure decomposition",
-    CheckId.PHIFREE_NOVIKOV: "phi-free Novikov: the algebra annihilates the complement-radical overlap",
-    CheckId.ARR_INCLUSIONS: "(A*R)*R inside phi inside the square (Novikov)",
-    CheckId.CHAR0_NOVIKOV_SPLIT: "char 0 Novikov, nilpotent radical: phi-free iff zero radical plus fields",
-    CheckId.CHAR0_RAD_ZERO_ALGEBRA: "char 0 Novikov, nilpotent radical: phi-free iff the radical squares to zero",
-    CheckId.CHAR0_PHI_IN_RSQ: "char 0 Novikov: phi inside the radical square, and nilpotent",
-    CheckId.CHAR0_PHI_EQ_RSQ: "char 0 Novikov, nilpotent radical: phi equals the radical square",
-    CheckId.A3_NOVIKOV_IFF_BICOMM: "vanishing cube: Novikov if and only if bicommutative",
-    CheckId.NOVMAX_IMPLICATIONS: "right nilpotent => cube in phi => maximals are left ideals (Novikov)",
-    CheckId.SOLVABLE_BICOMM_A3_IFF_LEFT_IDEALS: "solvable bicommutative: cube in phi iff maximals are left ideals",
-}
-
-
-def describe(check) -> str:
-    """One-line summary of what a check asserts."""
-    return CHECK_DESCRIPTIONS[CheckId(check)]
-
-
 def _run_check(analyzer, check):
     analyzer.begin_check()
-    fn = _CHECK_FUNCS[check]
+    reason = None
     try:
-        holds, witness, counterexample = fn(analyzer)
-    except _NotApplicable as e:
-        assumed, notes = analyzer.snapshot()
-        return VerificationReport(
-            check=check,
-            applicable=False,
-            holds=None,
-            reason=e.reason,
-            witness=None,
-            counterexample=None,
-            assumed=assumed,
-            notes=notes,
-        )
-    except (UnsupportedOperationError, PreconditionError) as e:
-        assumed, notes = analyzer.snapshot()
-        return VerificationReport(
-            check=check,
-            applicable=False,
-            holds=None,
-            reason=str(e),
-            witness=None,
-            counterexample=None,
-            assumed=assumed,
-            notes=notes,
-        )
+        holds, witness, counterexample = _CHECK_FUNCS[check](analyzer)
+    except (_NotApplicable, UnsupportedOperationError, PreconditionError) as e:
+        holds = witness = counterexample = None
+        reason = str(e)
     assumed, notes = analyzer.snapshot()
     return VerificationReport(
         check=check,
-        applicable=True,
+        applicable=reason is None,
         holds=holds,
-        reason=None,
+        reason=reason,
         witness=witness,
         counterexample=counterexample,
         assumed=assumed,

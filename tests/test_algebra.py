@@ -13,6 +13,7 @@ from nonassoc.algebra import (
     annihilator,
     associator,
     check_identity,
+    direct_sum,
     first_identity_failure,
     fitting_component,
     idealizer,
@@ -220,6 +221,15 @@ def test_nil_elements():
     assert is_right_nil(shift, v)
     A = a_ex(GF(2))
     assert not is_right_nil(A, A.basis_vector(0))
+
+
+def test_nested_direct_sums_keep_labels_distinct():
+    A = fixture_by_name("a_ex_f2").algebra
+    assert direct_sum(A, A).labels == ("x'", "y'", "x''", "y''")
+    for nested in (direct_sum(direct_sum(A, A), A), direct_sum(A, direct_sum(A, A))):
+        assert nested.dim == 6 and len(set(nested.labels)) == 6
+    fourfold = direct_sum(direct_sum(A, A), direct_sum(A, A))
+    assert len(set(fourfold.labels)) == 8
 
 
 def test_algebra_equality_and_hash():

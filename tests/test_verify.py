@@ -1,6 +1,9 @@
 """The theorem verifier: gating, trust rules, cache orientation."""
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from nonassoc.corpus import builtin_fixtures, fixture_by_name
@@ -9,7 +12,7 @@ from nonassoc.errors import BudgetExceededError
 from nonassoc.fields import GF
 from nonassoc.linalg import span
 from nonassoc.verify import (
-    CHECK_DESCRIPTIONS,
+    _CHECK_FUNCS,
     CERTIFIED_KEYS,
     CERTIFIED_SUBSPACE_KEYS,
     CERTIFIED_SUBSPACE_LIST_KEYS,
@@ -27,7 +30,14 @@ def test_every_check_has_a_description():
     for check in CheckId:
         text = describe(check)
         assert isinstance(text, str) and len(text) > 20
-    assert set(CHECK_DESCRIPTIONS) == set(CheckId)
+    assert list(_CHECK_FUNCS) == list(CheckId)
+
+
+def test_docs_catalogue_matches_the_registry():
+    doc = Path(__file__).parent.parent / "docs" / "checks.md"
+    rows = re.findall(r"^\| `([^`]+)` \| (.+) \|$", doc.read_text(), re.MULTILINE)
+    table = [(check, text.replace("\\*", "*")) for check, text in rows]
+    assert table == [(c.value, describe(c)) for c in CheckId]
 
 
 def test_certified_key_constants_are_consistent():
