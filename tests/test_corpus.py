@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
-from nonassoc.algebra import IdentityKind, check_identity
+from nonassoc.algebra import IdentityKind, check_identity, is_ideal, is_subalgebra, subspace_product
 from nonassoc.corpus import (
     a_ex,
     builtin_fixtures,
@@ -16,8 +17,19 @@ from nonassoc.corpus import (
     validate_fixture,
     zero_algebra,
 )
+from nonassoc.enumeration import (
+    RadicalKind,
+    frattini,
+    ideals,
+    maximal_subalgebras,
+    minimal_ideals,
+    radical,
+    subalgebras,
+)
 from nonassoc.errors import BudgetExceededError, UsageError
 from nonassoc.fields import GF, QQ
+from nonassoc.linalg import span
+from nonassoc.series import chief_series
 
 
 def test_fixture_names_are_unique_and_lookup_works():
@@ -146,3 +158,87 @@ def test_certified_q_fixtures_carry_subspace_data():
         assert "radical_solvable" in fx.certified
         assert "phi" in fx.certified
         assert "maximal_subalgebras" in fx.certified
+
+
+def _computed_certificate(A):
+    """Every subspace fact the verifier computes over F_p, as a certificate."""
+    data = frattini(A)
+    return {
+        "radical_solvable": radical(A, RadicalKind.SOLVABLE),
+        "radical_nil": radical(A, RadicalKind.NIL),
+        "radical_right_nil": radical(A, RadicalKind.RIGHT_NIL),
+        "radical_left_nil": radical(A, RadicalKind.LEFT_NIL),
+        "phi": data.ideal,
+        "frattini_subalgebra": data.subalgebra,
+        "maximal_subalgebras": maximal_subalgebras(A),
+        "minimal_ideals": minimal_ideals(A),
+        "ideals": ideals(A),
+        "subalgebras": subalgebras(A),
+        "chief_series": list(chief_series(A).ideals),
+    }
+
+
+@pytest.mark.parametrize("name", ["tpoly3_f2", "a_ex_f2", "a_nov_f2"])
+def test_validate_fixture_recomputes_finite_field_certificates(name):
+    fx = fixture_by_name(name)
+    A = fx.algebra
+    full = {**fx.certified, **_computed_certificate(A)}
+    assert validate_fixture(replace(fx, certified=full)) == []
+    for key, value in _computed_certificate(A).items():
+        if key == "chief_series":
+            wrong = value[:1] + value[2:]  # skips a term, so a factor is not chief
+        elif isinstance(value, list):
+            wrong = value[:-1]
+        else:
+            wrong = A.zero_space() if value.dim else A.full_space()
+        problems = validate_fixture(replace(fx, certified={**full, key: wrong}))
+        assert any(p.startswith(f"{key}:") for p in problems), (key, problems)
+
+
+def _q_corruptions(A, key, value):
+    """Values for `key` that its structural check must reject on A."""
+    lines = [
+        span(A.field, A.dim, [tuple(A.field.coerce(c) for c in v)])
+        for v in itertools.product((0, 1, -1), repeat=A.dim)
+        if any(v)
+    ]
+    non_ideal = next((s for s in lines if not is_ideal(A, s)), None)
+    non_sub = next((s for s in lines if not is_subalgebra(A, s)), None)
+    not_idempotent = next(s for s in lines if subspace_product(A, s, s) != s)
+    if key == "phi" or key.startswith("radical_") and not key.endswith("complement"):
+        wrong = [non_ideal]
+    elif key in ("frattini_subalgebra", "semisimple_part"):
+        wrong = [non_sub]
+    elif key.endswith("complement"):
+        # a nonzero complement has a proper partner, which 0 cannot complement
+        swap = A.full_space() if span(A.field, A.dim, value).is_zero() else A.zero_space()
+        wrong = [non_sub, swap]
+    elif key in ("ideals", "minimal_ideals"):
+        wrong = [None if non_ideal is None else value + [non_ideal]]
+    elif key == "subalgebras":
+        wrong = [None if non_sub is None else value + [non_sub]]
+    elif key == "maximal_subalgebras":
+        wrong = [None if non_sub is None else value + [non_sub], value + [A.full_space()]]
+    elif key == "simple_summands":
+        wrong = [value + [not_idempotent]]
+    else:
+        assert key == "chief_series"
+        wrong = [value[:-1]]
+    return [w for w in wrong if w is not None]
+
+
+@pytest.mark.parametrize("name", ["a_ex_q", "tpoly3_q", "a_nov_q"])
+def test_validate_fixture_rejects_structurally_wrong_q_certificates(name):
+    fx = fixture_by_name(name)
+    A = fx.algebra
+    assert validate_fixture(fx) == []
+    tested = set()
+    for key, value in fx.certified.items():
+        if key == "identities":
+            continue
+        for wrong in _q_corruptions(A, key, value):
+            problems = validate_fixture(replace(fx, certified={**fx.certified, key: wrong}))
+            assert any(p.startswith(f"{key}:") for p in problems), (key, problems)
+            tested.add(key)
+    # only a_nov_q's Frattini subalgebra escapes: every line of it is a subalgebra
+    assert set(fx.certified) - tested <= {"identities", "frattini_subalgebra"}
