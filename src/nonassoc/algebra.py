@@ -77,17 +77,11 @@ class Algebra:
                 table[i][j][k] = field.coerce(c)
         return cls(field, dim, table, labels)
 
-    def zero_vector(self):
-        return (self.field.zero,) * self.dim
-
     def basis_vector(self, i):
         return tuple(self.field.one if k == i else self.field.zero for k in range(self.dim))
 
     def basis_vectors(self):
         return [self.basis_vector(i) for i in range(self.dim)]
-
-    def element(self, coords):
-        return Element(self, tuple(self.field.coerce(x) for x in coords))
 
     def basis_element(self, i):
         return Element(self, self.basis_vector(i))
@@ -489,18 +483,7 @@ def _coordinates_fn(sub: Subspace):
     return coords
 
 
-class MulOperator:
-    """Left or right multiplication by a fixed element, as a matrix."""
-
-    __slots__ = ("side", "element", "matrix")
-
-    def __init__(self, side, element, matrix):
-        self.side = side
-        self.element = element
-        self.matrix = matrix
-
-
-def mul_operator(A: Algebra, a, side: str) -> MulOperator:
+def mul_operator(A: Algebra, a, side: str) -> Matrix:
     """Matrix of x -> x*a (side='right') or x -> a*x (side='left'); columns are basis images."""
     a = tuple(a)
     if side == "right":
@@ -510,12 +493,12 @@ def mul_operator(A: Algebra, a, side: str) -> MulOperator:
     else:
         raise UsageError("side must be 'left' or 'right'")
     rows = [[images[j][i] for j in range(A.dim)] for i in range(A.dim)]
-    return MulOperator(side, a, Matrix(A.field, rows, ncols=A.dim))
+    return Matrix(A.field, rows, ncols=A.dim)
 
 
 def fitting_component(A: Algebra, a, side: str) -> Subspace:
     """Generalized null component of the one-sided multiplication by `a`."""
-    op = mul_operator(A, a, side).matrix
+    op = mul_operator(A, a, side)
     power = op
     for _ in range(max(A.dim - 1, 0)):
         power = power @ op

@@ -34,7 +34,7 @@ from .errors import (
     UsageError,
 )
 from .fields import GF, QQ
-from .fileformat import document_json, parse_document, serialize_document
+from .fileformat import _field_json, document_json, parse_document, serialize_document
 from .linalg import Subspace
 from .series import SeriesKind, chief_series, compute_series, nilpotency_profile
 from .structure import decompose_semisimple_bicommutative, phi_free_split
@@ -77,10 +77,6 @@ def _render_products(algebra):
             combo = _render_combo(algebra.field, names, vec)
             lines.append(f"{names[i]}*{names[j]} = {combo}")
     return lines
-
-
-def _field_text(field):
-    return f"F_{field.order}" if field.is_finite else "Q"
 
 
 def _jsonable(value):
@@ -165,29 +161,18 @@ def cmd_info(ns):
     A = doc.algebra
     names = _names(A)
     identities = {kind.value: check_identity(A, kind) for kind in IdentityKind}
-    profile = nilpotency_profile(A)
     payload = {
-        "field": "Q" if not A.field.is_finite else {"prime": A.field.order},
+        "field": _field_json(A.field),
         "dim": A.dim,
         "basis": list(names),
         "name": doc.name,
         "note": doc.note,
         "identities": identities,
-        "nilpotency": {
-            "solvable": profile.solvable,
-            "right_nilpotent": profile.right_nilpotent,
-            "left_nilpotent": profile.left_nilpotent,
-            "weakly_nilpotent": profile.weakly_nilpotent,
-            "nilpotent": profile.nilpotent,
-            "solvable_index": profile.solvable_index,
-            "right_index": profile.right_index,
-            "left_index": profile.left_index,
-            "nilpotent_index": profile.nilpotent_index,
-        },
+        "nilpotency": _dataclass_dict(nilpotency_profile(A)),
         "products": _render_products(A),
     }
     lines = [
-        f"field: {_field_text(A.field)}",
+        f"field: {A.field!r}",
         f"dim: {A.dim}",
         f"basis: {', '.join(names)}",
     ]
@@ -196,9 +181,8 @@ def cmd_info(ns):
     if doc.note:
         lines.append(f"note: {doc.note}")
     lines.append("products:")
-    product_lines = _render_products(A)
-    if product_lines:
-        lines.extend(f"  {p}" for p in product_lines)
+    if payload["products"]:
+        lines.extend(f"  {p}" for p in payload["products"])
     else:
         lines.append("  (all zero)")
     lines.append("identities:")
@@ -469,7 +453,7 @@ def cmd_search(ns):
         )
     found = list(hits)
     payload = {
-        "field": "Q" if not field.is_finite else {"prime": field.order},
+        "field": _field_json(field),
         "dim": ns.dim,
         "identity": kind.value,
         "count": len(found),
@@ -492,12 +476,12 @@ def cmd_fixtures(ns):
     for f in fixtures:
         row = {
             "name": f.name,
-            "field": "Q" if not f.algebra.field.is_finite else {"prime": f.algebra.field.order},
+            "field": _field_json(f.algebra.field),
             "dim": f.algebra.dim,
             "note": f.note,
             "certified": sorted(f.certified) if f.certified else [],
         }
-        text = f"{f.name}: {_field_text(f.algebra.field)} dim {f.algebra.dim}  {f.note}"
+        text = f"{f.name}: {f.algebra.field!r} dim {f.algebra.dim}  {f.note}"
         if emit_dir is not None:
             path = os.path.join(emit_dir, f"{f.name}.json")
             with open(path, "wb") as fh:

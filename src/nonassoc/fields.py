@@ -84,6 +84,10 @@ class RationalField:
         return Fraction(a) / b
 
     def parse(self, text: str):
+        # Fraction expands exponent notation, so "1e999999999" would build a
+        # billion-digit integer
+        if "e" in text or "E" in text:
+            raise UsageError(f"cannot parse rational scalar {text!r}: no exponents")
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -200,18 +204,3 @@ def GF(p: int) -> PrimeField:
     if field is None:
         field = _prime_cache[p] = PrimeField(p)
     return field
-
-
-_OPS = {
-    "add": lambda f, a, b: f.add(a, b),
-    "sub": lambda f, a, b: f.sub(a, b),
-    "mul": lambda f, a, b: f.mul(a, b),
-    "div": lambda f, a, b: f.div(a, b),
-}
-
-
-def scalar_arith(field, a, b, op: str):
-    """Apply one canonical field operation; rejects non-members of `field`."""
-    if op not in _OPS:
-        raise UsageError(f"unknown scalar operation {op!r}")
-    return _OPS[op](field, field.validate(a), field.validate(b))

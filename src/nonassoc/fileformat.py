@@ -25,8 +25,8 @@ import json
 from .algebra import Algebra, IdentityKind
 from .errors import AlgebraFileError, UsageError
 from .fields import GF, QQ
-from .linalg import Subspace, span
-from .verify import CERTIFIED_KEYS, CERTIFIED_SUBSPACE_KEYS, CERTIFIED_SUBSPACE_LIST_KEYS
+from .linalg import span
+from .verify import CERTIFIED_FACTS, CERTIFIED_KEYS, _coerce_certified
 
 _TOP_KEYS = {"field", "dim", "basis", "products", "name", "note", "certified"}
 
@@ -177,12 +177,12 @@ def _parse_certified(field, dim, value, location):
                     _fail(f"identity claim for {kind!r} must be a boolean", here)
                 ids[kind] = flag
             out[key] = ids
-        elif key in CERTIFIED_SUBSPACE_KEYS:
-            out[key] = _parse_subspace(field, dim, entry, here)
-        elif key in CERTIFIED_SUBSPACE_LIST_KEYS:
-            out[key] = _parse_subspace_list(field, dim, entry, here)
-        else:
+        elif key not in CERTIFIED_FACTS:
             _fail(f"unknown certified key {key!r}", location)
+        elif CERTIFIED_FACTS[key].single:
+            out[key] = _parse_subspace(field, dim, entry, here)
+        else:
+            out[key] = _parse_subspace_list(field, dim, entry, here)
     return out
 
 
@@ -250,12 +250,6 @@ def _subspace_json(sub):
     return [[field.render(x) for x in row] for row in sub.basis]
 
 
-def _as_subspace(field, dim, value):
-    if isinstance(value, Subspace):
-        return value
-    return span(field, dim, value)
-
-
 def _certified_json(field, dim, certified):
     out = {}
     for key in certified:
@@ -264,10 +258,10 @@ def _certified_json(field, dim, certified):
     for key, value in certified.items():
         if key == "identities":
             out[key] = {IdentityKind(k).value: bool(v) for k, v in value.items()}
-        elif key in CERTIFIED_SUBSPACE_KEYS:
-            out[key] = _subspace_json(_as_subspace(field, dim, value))
+        elif CERTIFIED_FACTS[key].single:
+            out[key] = _subspace_json(_coerce_certified(field, dim, key, value))
         else:
-            out[key] = [_subspace_json(_as_subspace(field, dim, sub)) for sub in value]
+            out[key] = [_subspace_json(sub) for sub in _coerce_certified(field, dim, key, value)]
     return out
 
 

@@ -73,14 +73,8 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
 
-    def row(self, i):
-        return self.rows[i]
-
     def column(self, j):
         return tuple(r[j] for r in self.rows)
-
-    def transpose(self):
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)], ncols=self.nrows)
 
     def apply(self, vec):
         """Matrix-vector product (vec has ncols entries)."""
@@ -133,10 +127,6 @@ def rref(m: Matrix) -> Matrix:
     """Reduced row echelon form with zero rows dropped."""
     rows, _ = _rref_rows(m.field, [list(r) for r in m.rows])
     return Matrix(m.field, rows, ncols=m.ncols)
-
-
-def identity_matrix(field, n):
-    return Matrix(field, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)], ncols=n)
 
 
 class Subspace:

@@ -176,17 +176,6 @@ def chief_series(A: Algebra, frm: Subspace | None = None, to: Subspace | None = 
     return ChiefSeries(tuple(chain))
 
 
-def all_chief_factors(A: Algebra, ideal_list):
-    """All pairs (B, C) of ideals with C < B and B/C a minimal ideal of A/C."""
-    from .enumeration import minimal_overideals
-
-    factors = []
-    for c in ideal_list:
-        for b in minimal_overideals(A, c, A.full_space()):
-            factors.append((b, c))
-    return factors
-
-
 def term_at(A: Algebra, result: SeriesResult, power: int) -> Subspace:
     """The series value at a 1-based power, extrapolating past the stopping point."""
     if power < 1:

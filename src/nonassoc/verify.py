@@ -149,29 +149,6 @@ _NOVIKOV = (IdentityKind.NOVIKOV_LEFT, IdentityKind.NOVIKOV_RIGHT)
 _SAMPLE_SEED = 0x5EED
 _SAMPLE_COUNT = 24
 
-# shape of each certifiable entry, used by the file format as well
-CERTIFIED_SUBSPACE_KEYS = (
-    "radical_solvable",
-    "radical_nil",
-    "radical_right_nil",
-    "radical_left_nil",
-    "phi",
-    "frattini_subalgebra",
-    "zero_socle_complement",
-    "square_complement",
-    "semisimple_part",
-    "radical_complement",
-)
-CERTIFIED_SUBSPACE_LIST_KEYS = (
-    "maximal_subalgebras",
-    "minimal_ideals",
-    "ideals",
-    "subalgebras",
-    "chief_series",
-    "simple_summands",
-)
-CERTIFIED_KEYS = ("identities",) + CERTIFIED_SUBSPACE_KEYS + CERTIFIED_SUBSPACE_LIST_KEYS
-
 # reversing all products swaps the two one-sided nilpotency notions
 _MIRROR_RADICAL = {
     RadicalKind.SOLVABLE: RadicalKind.SOLVABLE,
@@ -179,6 +156,65 @@ _MIRROR_RADICAL = {
     RadicalKind.RIGHT_NIL: RadicalKind.LEFT_NIL,
     RadicalKind.LEFT_NIL: RadicalKind.RIGHT_NIL,
 }
+
+
+def _radical_key(kind):
+    """The certificate key of a radical, e.g. `radical_right_nil`."""
+    return f"radical_{kind.name.lower()}"
+
+
+@dataclass(frozen=True)
+class _Fact:
+    """A certifiable fact: one subspace or a list of them, the words reports
+    use for it, and `compute(A, budget)` over F_p (None for facts that are
+    only ever read from a certificate)."""
+
+    single: bool
+    what: str
+    compute: object = None
+
+
+# Every certifiable fact, by certificate key.  The verifier, fixture validation
+# and the file format all read this table.  Each lambda looks its enumerator up
+# when called, so a module-level name rebound by a profiler or a test wrapper
+# is the one that runs.
+CERTIFIED_FACTS = {
+    **{
+        _radical_key(kind): _Fact(
+            True,
+            f"{kind.value} radical",
+            lambda A, budget, kind=kind: enumerate_radical(A, kind, budget),
+        )
+        for kind in RadicalKind
+    },
+    "phi": _Fact(True, "Frattini ideal", lambda A, budget: frattini(A, budget).ideal),
+    "frattini_subalgebra": _Fact(
+        True, "Frattini subalgebra", lambda A, budget: frattini(A, budget).subalgebra
+    ),
+    "zero_socle_complement": _Fact(True, "complement to the zero socle"),
+    "square_complement": _Fact(True, "complement to the square"),
+    "semisimple_part": _Fact(True, "semisimple part of the complement"),
+    "radical_complement": _Fact(True, "complement to the radical"),
+    "maximal_subalgebras": _Fact(
+        False,
+        "maximal subalgebra list",
+        lambda A, budget: enumerate_maximal_subalgebras(A, budget),
+    ),
+    "minimal_ideals": _Fact(
+        False, "minimal ideal list", lambda A, budget: enumerate_minimal_ideals(A, budget)
+    ),
+    "ideals": _Fact(False, "ideal list", lambda A, budget: enumerate_ideals(A, budget)),
+    "subalgebras": _Fact(
+        False, "subalgebra list", lambda A, budget: enumerate_subalgebras(A, budget)
+    ),
+    "chief_series": _Fact(False, "chief series", lambda A, budget: list(chief_series(A).ideals)),
+    "simple_summands": _Fact(False, "simple summands"),
+}
+CERTIFIED_SUBSPACE_KEYS = tuple(key for key, fact in CERTIFIED_FACTS.items() if fact.single)
+CERTIFIED_SUBSPACE_LIST_KEYS = tuple(
+    key for key, fact in CERTIFIED_FACTS.items() if not fact.single
+)
+CERTIFIED_KEYS = ("identities",) + CERTIFIED_SUBSPACE_KEYS + CERTIFIED_SUBSPACE_LIST_KEYS
 
 
 def _coerce_subspace(field, ambient, value):
@@ -190,7 +226,10 @@ def _coerce_subspace(field, ambient, value):
     return span(field, ambient, vectors)
 
 
-def _coerce_subspace_list(field, ambient, value):
+def _coerce_certified(field, ambient, key, value):
+    """A certificate's entry for `key`, read as the fact's declared shape."""
+    if CERTIFIED_FACTS[key].single:
+        return _coerce_subspace(field, ambient, value)
     return [_coerce_subspace(field, ambient, v) for v in value]
 
 
@@ -299,127 +338,82 @@ class Analyzer:
 
     # -- ingredients: enumerated over finite fields, certified over Q ---------
 
-    def _ingredient(self, cache_key, what, computed, coerce=None):
+    def _ingredient(self, cache_key, coerce=None):
         """Look up a fact about the algebra, computing or trusting as needed.
 
-        `cache_key` also names the fact in a certificate, whose entry is read
-        with `coerce` (by default as the key's declared shape).  Facts handled
-        here are two-sided (unchanged by reversing products), so the cache and
-        the certificate dictionary of the base orientation serve the mirrored
-        view as well; callers translate orientation-sensitive keys (the
-        one-sided radicals) before calling.
+        `cache_key` names the fact in CERTIFIED_FACTS and in a certificate,
+        whose entry is read as the fact's declared shape and then passed
+        through `coerce`, if given.  Facts handled here are two-sided
+        (unchanged by reversing products), so they are computed on the base
+        orientation's algebra, and its cache and certificate dictionary serve
+        the mirrored view as well; callers translate orientation-sensitive
+        keys (the one-sided radicals) before calling.
         """
         base = self._mirror_of if self._mirror_of is not None else self
         cache = base._shared_cache
         if cache_key in cache:
-            value, assumption, notes = cache[cache_key]
-            if assumption:
-                self.assume(assumption)
+            value, certified, notes = cache[cache_key]
+            if certified:
+                self._trust(cache_key)
             for text in notes:
                 self.note(text)
             return value
+        fact = CERTIFIED_FACTS[cache_key]
         if self.algebra.field.is_finite:
             try:
-                value = computed()
+                value = fact.compute(base.algebra, self.budget)
             except BudgetExceededError as e:
-                raise _NotApplicable(f"budget exceeded while computing {what}: {e}")
-            cache[cache_key] = (value, None, ())
+                raise _NotApplicable(f"budget exceeded while computing {fact.what}: {e}")
+            cache[cache_key] = (value, False, ())
             return value
-        if cache_key in base.certified:
-            if coerce is None:
-                single = cache_key in CERTIFIED_SUBSPACE_KEYS
-                coerce = self._subspace if single else self._subspaces
-            mark = len(self._notes)
-            value = coerce(base.certified[cache_key])
-            notes = tuple(self._notes[mark:])
-            assumption = f"{what} taken from certificate"
-            cache[cache_key] = (value, assumption, notes)
-            self.assume(assumption)
-            return value
-        raise _NotApplicable(f"requires a finite field (no certified {what})")
-
-    def _subspace(self, value):
-        return _coerce_subspace(self.algebra.field, self.algebra.dim, value)
-
-    def _subspaces(self, value):
-        return _coerce_subspace_list(self.algebra.field, self.algebra.dim, value)
+        if cache_key not in base.certified:
+            raise _NotApplicable(f"requires a finite field (no certified {fact.what})")
+        mark = len(self._notes)
+        value = self.certified_subspace(cache_key)
+        if coerce is not None:
+            value = coerce(value)
+        cache[cache_key] = (value, True, tuple(self._notes[mark:]))
+        return value
 
     def radical(self, kind):
         kind = RadicalKind(kind)
-        base = self
         if self._mirror_of is not None:
-            base = self._mirror_of
             kind = _MIRROR_RADICAL[kind]
-        return self._ingredient(
-            f"radical_{kind.name.lower()}",
-            f"{kind.value} radical",
-            lambda: enumerate_radical(base.algebra, kind, self.budget),
-        )
+        return self._ingredient(_radical_key(kind))
 
     def phi(self):
-        return self._ingredient(
-            "phi",
-            "Frattini ideal",
-            lambda: frattini(self.algebra, self.budget).ideal,
-        )
+        return self._ingredient("phi")
 
     def frattini_subalgebra(self):
-        return self._ingredient(
-            "frattini_subalgebra",
-            "Frattini subalgebra",
-            lambda: frattini(self.algebra, self.budget).subalgebra,
-        )
+        return self._ingredient("frattini_subalgebra")
 
     def ideals(self):
         A = self.algebra
 
-        def coerce(v):
-            out = self._subspaces(v)
+        def coerce(out):
             for extra in (A.zero_space(), A.full_space()):
                 if extra not in out:
                     out.append(extra)
-            out.sort(key=lambda s: s.sort_key())
+            out.sort(key=Subspace.sort_key)
             return out
 
-        return self._ingredient(
-            "ideals",
-            "ideal list",
-            lambda: enumerate_ideals(A, self.budget),
-            coerce,
-        )
+        return self._ingredient("ideals", coerce)
 
     def minimal_ideals(self):
-        return self._ingredient(
-            "minimal_ideals",
-            "minimal ideal list",
-            lambda: enumerate_minimal_ideals(self.algebra, self.budget),
-        )
+        return self._ingredient("minimal_ideals")
 
     def subalgebras(self):
-        def coerce(v):
+        def coerce(out):
             self.note("subalgebra quantification sampled from certificate")
-            return self._subspaces(v)
+            return out
 
-        return self._ingredient(
-            "subalgebras",
-            "subalgebra list",
-            lambda: enumerate_subalgebras(self.algebra, self.budget),
-            coerce,
-        )
+        return self._ingredient("subalgebras", coerce)
 
     def maximal_subalgebras(self):
-        return self._ingredient(
-            "maximal_subalgebras",
-            "maximal subalgebra list",
-            lambda: enumerate_maximal_subalgebras(self.algebra, self.budget),
-        )
+        return self._ingredient("maximal_subalgebras")
 
     def chief_series_ideals(self):
-        return self._ingredient(
-            "chief_series",
-            "chief series",
-            lambda: list(chief_series(self.algebra).ideals),
-        )
+        return self._ingredient("chief_series")
 
     def socle(self):
         ech = Echelon(self.algebra.field, self.algebra.dim)
@@ -434,12 +428,15 @@ class Analyzer:
                 ech.add_subspace(b)
         return ech.subspace()
 
-    def certified_subspace(self, key, what):
-        if key not in self.certified:
-            raise _NotApplicable(f"requires a certified {what}")
-        value = self._subspace(self.certified[key])
-        self.assume(f"{what} taken from certificate")
+    def certified_subspace(self, key):
+        """The certificate's entry for `key`, read as the fact's declared shape."""
+        _require(key in self.certified, f"requires a certified {CERTIFIED_FACTS[key].what}")
+        value = _coerce_certified(self.algebra.field, self.algebra.dim, key, self.certified[key])
+        self._trust(key)
         return value
+
+    def _trust(self, key):
+        self.assume(f"{CERTIFIED_FACTS[key].what} taken from certificate")
 
     # -- element streams ------------------------------------------------------
 
@@ -539,13 +536,13 @@ def _commutative_orientations(z):
     )
 
 
-def _complement(z, sub, cert_key, what, inside=None):
+def _complement(z, sub, key, inside=None):
     """A subalgebra complement to `sub` (within `inside`, default the whole
     algebra): the first one found over F_p, None if there is none; over Q the
     certified one."""
     if z.algebra.field.is_finite:
         return find_complement_subalgebra(z.algebra, sub, inside, z.budget)
-    return z.certified_subspace(cert_key, what)
+    return z.certified_subspace(key)
 
 
 def _is_complement(A, comp, sub, whole):
@@ -608,44 +605,31 @@ def _phi_nilpotent(view):
 # ---------------------------------------------------------------------------
 
 
-def _check_natural_product(z, kinds, extra_novikov=False):
+def _ideal_products(z, kinds):
+    """The ideal list, and a counterexample if some product of two ideals is
+    not an ideal; not applicable unless one of `kinds` holds."""
     if not any(z.identity(k) for k in kinds):
         raise _NotApplicable(
             "requires one of: " + ", ".join(k.value for k in kinds)
         )
-    A = z.algebra
     ideal_list = z.ideals()
     for left, right in itertools.product(ideal_list, repeat=2):
         product = z.prod(left, right)
-        if not is_ideal(A, product):
-            return _fails(
-                {
-                    "problem": "product of ideals is not an ideal",
-                    "left": left,
-                    "right": right,
-                    "product": product,
-                }
-            )
-    checked = {"ideal_pairs": len(ideal_list) ** 2}
-    if extra_novikov:
-        for kind in SeriesKind:
-            terms = compute_series(A, kind).terms
-            for power, term in enumerate(terms, start=1):
-                if not is_ideal(A, term):
-                    return _fails(
-                        {
-                            "problem": "series term is not an ideal",
-                            "series": kind.value,
-                            "power": power,
-                            "term": term,
-                        }
-                    )
-        counterexample = _annihilator_failure(A, ideal_list)
-        if counterexample:
-            return _fails(counterexample)
-        checked["series_terms"] = True
-        checked["annihilators"] = len(ideal_list)
-    return _holds(checked)
+        if not is_ideal(z.algebra, product):
+            return ideal_list, {
+                "problem": "product of ideals is not an ideal",
+                "left": left,
+                "right": right,
+                "product": product,
+            }
+    return ideal_list, None
+
+
+def _check_natural_product(z, kinds):
+    ideal_list, counterexample = _ideal_products(z, kinds)
+    if counterexample:
+        return _fails(counterexample)
+    return _holds({"ideal_pairs": len(ideal_list) ** 2})
 
 
 @_check(CheckId.NATURAL_PRODUCT_BICOMMUTATIVE, "products of ideals are ideals (bicommutative)")
@@ -660,7 +644,32 @@ def check_natural_product_assosymmetric(z):
 
 @_check(CheckId.NATURAL_PRODUCT_NOVIKOV, "products of ideals, series terms and annihilators are ideals (Novikov)")
 def check_natural_product_novikov(z):
-    return _check_natural_product(z, _NOVIKOV, extra_novikov=True)
+    ideal_list, counterexample = _ideal_products(z, _NOVIKOV)
+    if counterexample:
+        return _fails(counterexample)
+    A = z.algebra
+    for kind in SeriesKind:
+        terms = compute_series(A, kind).terms
+        for power, term in enumerate(terms, start=1):
+            if not is_ideal(A, term):
+                return _fails(
+                    {
+                        "problem": "series term is not an ideal",
+                        "series": kind.value,
+                        "power": power,
+                        "term": term,
+                    }
+                )
+    counterexample = _annihilator_failure(A, ideal_list)
+    if counterexample:
+        return _fails(counterexample)
+    return _holds(
+        {
+            "ideal_pairs": len(ideal_list) ** 2,
+            "series_terms": True,
+            "annihilators": len(ideal_list),
+        }
+    )
 
 
 @_check(CheckId.NILPOTENT_MAX_SUBALG_IDEAL, "maximal subalgebras of a nilpotent algebra are ideals")
@@ -1099,7 +1108,7 @@ def check_biss_decomposition(z):
         bad = _simplicity_failure(z, s)
         if bad:
             return _fails({"problem": "summand is not simple", **bad})
-    comp = _complement(z, square, "square_complement", "complement to the square")
+    comp = _complement(z, square, "square_complement")
     if comp is None:
         return _fails({"problem": "no subalgebra complement to the square", "square": square})
     if not _is_complement(A, comp, square, A.full_space()):
@@ -1269,7 +1278,7 @@ def check_split_iff_phi_free(z):
     A = z.algebra
     zsoc = z.zero_socle()
     if phi.is_zero():
-        comp = _complement(z, zsoc, "zero_socle_complement", "complement to the zero socle")
+        comp = _complement(z, zsoc, "zero_socle_complement")
         if not _is_complement(A, comp, zsoc, A.full_space()):
             return _fails(
                 {
@@ -1345,7 +1354,7 @@ def check_biphifree_structure(z):
                 }
             )
         return _holds({"phi": phi, "phi_free": False})
-    comp = _complement(z, zsoc, "zero_socle_complement", "complement to the zero socle")
+    comp = _complement(z, zsoc, "zero_socle_complement")
     if not _is_complement(A, comp, zsoc, A.full_space()):
         return _fails(
             {
@@ -1371,9 +1380,7 @@ def check_biphifree_structure(z):
         return _fails(
             {"problem": "complement overlap does not square to zero", "overlap": zero_part}
         )
-    semi = _complement(
-        z, zero_part, "semisimple_part", "semisimple part of the complement", inside=comp
-    )
+    semi = _complement(z, zero_part, "semisimple_part", inside=comp)
     if not _is_complement(A, semi, zero_part, comp):
         return _fails(
             {
@@ -1455,7 +1462,7 @@ def check_phifree_novikov(z):
     phi = view.phi()
     _require(phi.is_zero(), "requires a phi-free algebra")
     zsoc = view.zero_socle()
-    comp = _complement(view, zsoc, "zero_socle_complement", "complement to the zero socle")
+    comp = _complement(view, zsoc, "zero_socle_complement")
     if not _is_complement(A, comp, zsoc, A.full_space()):
         return _fails(
             {
@@ -1525,7 +1532,7 @@ def check_char0_novikov_split(z):
             )
         z.note("non-split direction settled via the radical square")
         return _holds({"phi": phi, "radical_square": rad_sq})
-    comp = view.certified_subspace("radical_complement", "complement to the radical")
+    comp = view.certified_subspace("radical_complement")
     if not _is_complement(A, comp, rad, A.full_space()):
         return _fails(
             {
@@ -1548,8 +1555,7 @@ def check_char0_novikov_split(z):
             )
     witness = {"radical": rad, "complement": comp}
     if "simple_summands" in z.certified:
-        summands = _coerce_subspace_list(A.field, A.dim, z.certified["simple_summands"])
-        z.assume("simple summands taken from certificate")
+        summands = view.certified_subspace("simple_summands")
         if not direct_sum_equals(A.field, A.dim, summands, comp):
             return _fails(
                 {

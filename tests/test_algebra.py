@@ -205,8 +205,8 @@ def test_mul_operator_and_fitting_component():
     A = make(GF(2), 3, {(0, 0): {1: 1}, (2, 0): {2: 1}, (0, 1): {2: 1}})
     e1 = A.basis_vector(0)
     op = mul_operator(A, e1, "right")
-    assert op.matrix.apply((1, 0, 0)) == (0, 1, 0)
-    assert op.matrix.apply((0, 0, 1)) == (0, 0, 1)
+    assert op.apply((1, 0, 0)) == (0, 1, 0)
+    assert op.apply((0, 0, 1)) == (0, 0, 1)
     comp = fitting_component(A, e1, "right")
     assert comp == span(GF(2), 3, [(1, 0, 0), (0, 1, 0)])
     assert not is_subalgebra(A, comp)

@@ -314,3 +314,15 @@ def test_file_errors(run, tmp_path):
     code, _, err = run("info", str(bad))
     assert code == 2
     assert "invalid JSON" in err
+
+
+def test_exponent_coefficient_exits_2_without_expanding(run, tmp_path):
+    # Fraction("1e999999999") alone would run for minutes
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"field": "Q", "dim": 1, "products": [{"i": 0, "j": 0, "terms": [{"k": 0, "c": "1e999999999"}]}]}'
+    )
+    code, out, err = run("info", str(path))
+    assert code == 2
+    assert out == ""
+    assert "exponent" in err

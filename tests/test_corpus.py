@@ -205,7 +205,11 @@ def _q_corruptions(A, key, value):
     non_ideal = next((s for s in lines if not is_ideal(A, s)), None)
     non_sub = next((s for s in lines if not is_subalgebra(A, s)), None)
     not_idempotent = next(s for s in lines if subspace_product(A, s, s) != s)
-    if key == "phi" or key.startswith("radical_") and not key.endswith("complement"):
+    if key.startswith("radical_") and not key.endswith("complement"):
+        # A is an ideal, and has the radical's defining property only if it is the radical
+        is_all = span(A.field, A.dim, value) == A.full_space()
+        wrong = [non_ideal, None if is_all else A.full_space()]
+    elif key == "phi":
         wrong = [non_ideal]
     elif key in ("frattini_subalgebra", "semisimple_part"):
         wrong = [non_sub]

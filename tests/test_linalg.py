@@ -14,7 +14,6 @@ from nonassoc.linalg import (
     Echelon,
     Matrix,
     full_subspace,
-    identity_matrix,
     kernel,
     rref,
     span,
@@ -57,7 +56,6 @@ def test_matrix_apply_and_compose():
     n = Matrix(GF(7), [[0, 1], [1, 0]])
     assert (m @ n).rows == ((2, 1), (4, 3))
     assert m.apply((1, 1)) == (3, 0)
-    assert m.transpose().rows == ((1, 3), (2, 4))
     with pytest.raises(UsageError):
         m @ Matrix(GF(7), [[1, 2, 3]])
 
@@ -109,7 +107,7 @@ def test_kernel_is_annihilated():
     assert k.dim == 2
     for row in k.basis:
         assert all(x == 0 for x in m.apply(row))
-    assert kernel(identity_matrix(GF(5), 3)).is_zero()
+    assert kernel(Matrix(GF(5), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])).is_zero()
 
 
 def test_echelon_accumulator_matches_span():

@@ -9,7 +9,6 @@ from nonassoc.fields import GF
 from nonassoc.linalg import span
 from nonassoc.series import (
     SeriesKind,
-    all_chief_factors,
     chief_series,
     compute_series,
     nilpotency_profile,
@@ -128,10 +127,6 @@ def test_chief_series_values():
     cs2 = chief_series(a_ex)
     assert [i.dim for i in cs2.ideals] == [0, 1, 2]
     assert cs2.ideals[1] == span(GF(2), 2, [(1, 0)])
-
-    factors = all_chief_factors(a_ex, cs2.ideals)
-    assert [(b.dim, c.dim) for b, c in factors] == [(1, 0), (2, 1)]
-    assert all(b.contains(c) for b, c in factors)
 
 
 def test_chief_series_window():

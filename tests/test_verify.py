@@ -13,6 +13,7 @@ from nonassoc.fields import GF
 from nonassoc.linalg import span
 from nonassoc.verify import (
     _CHECK_FUNCS,
+    CERTIFIED_FACTS,
     CERTIFIED_KEYS,
     CERTIFIED_SUBSPACE_KEYS,
     CERTIFIED_SUBSPACE_LIST_KEYS,
@@ -38,6 +39,20 @@ def test_docs_catalogue_matches_the_registry():
     rows = re.findall(r"^\| `([^`]+)` \| (.+) \|$", doc.read_text(), re.MULTILINE)
     table = [(check, text.replace("\\*", "*")) for check, text in rows]
     assert table == [(c.value, describe(c)) for c in CheckId]
+
+
+def test_docs_certified_keys_match_the_table():
+    doc = (Path(__file__).parent.parent / "docs" / "checks.md").read_text()
+    section = doc.split("## Certified facts")[1].split("\n## ")[0]
+    bullets = {}
+    for bullet in section.split("\n- ")[1:]:
+        head, _, rest = bullet.partition(":")
+        bullets[head] = set(re.findall(r"`([^`]+)`", rest.split("(")[0]))
+    computed = {key for key, fact in CERTIFIED_FACTS.items() if fact.compute}
+    assert bullets["computed over a finite field"] == computed
+    assert bullets["only ever read from a certificate"] == set(CERTIFIED_FACTS) - computed
+    assert bullets["single subspaces (list of basis rows)"] == set(CERTIFIED_SUBSPACE_KEYS)
+    assert bullets["subspace lists"] == set(CERTIFIED_SUBSPACE_LIST_KEYS)
 
 
 def test_certified_key_constants_are_consistent():
