@@ -301,6 +301,18 @@ def check_identity(A: Algebra, kind) -> bool:
     return first_identity_failure(A, kind) is None
 
 
+def classify(A: Algebra) -> frozenset:
+    """Every identity class A satisfies: each primitive identity is tested
+    once and the composite classes are read off from them."""
+    holds = {
+        kind
+        for kind in IdentityKind
+        if kind not in _COMPOSITE and _primitive_failure(A, kind) is None
+    }
+    holds.update(kind for kind, parts in _COMPOSITE.items() if holds.issuperset(parts))
+    return frozenset(holds)
+
+
 def subspace_product(A: Algebra, u: Subspace, v: Subspace) -> Subspace:
     """span{ x*y : x in u, y in v }, via basis products."""
     ech = Echelon(A.field, A.dim)

@@ -15,7 +15,7 @@ import os
 import sys
 from enum import Enum
 
-from .algebra import Algebra, IdentityKind, check_identity, first_identity_failure
+from .algebra import Algebra, IdentityKind, classify, first_identity_failure
 from .corpus import builtin_fixtures, search
 from .enumeration import (
     DEFAULT_BUDGET,
@@ -160,7 +160,8 @@ def cmd_info(ns):
     doc = _load(ns)
     A = doc.algebra
     names = _names(A)
-    identities = {kind.value: check_identity(A, kind) for kind in IdentityKind}
+    kinds = classify(A)
+    identities = {kind.value: kind in kinds for kind in IdentityKind}
     payload = {
         "field": _field_json(A.field),
         "dim": A.dim,

@@ -27,7 +27,13 @@ from .algebra import (
     subspace_product,
 )
 from .enumeration import DEFAULT_BUDGET, RadicalKind, _qualifies
-from .verify import CERTIFIED_FACTS, CERTIFIED_KEYS, _coerce_certified, _radical_key
+from .verify import (
+    CERTIFIED_FACTS,
+    CERTIFIED_KEYS,
+    _coerce_certified,
+    _fp_facts,
+    _radical_key,
+)
 
 
 @dataclass(frozen=True)
@@ -314,17 +320,24 @@ def builtin_fixtures(validate=True):
 
     if validate:
         for f in fixtures:
-            problems = validate_fixture(f)
-            if problems:
-                raise UsageError(
-                    f"fixture {f.name} failed validation: " + "; ".join(problems)
-                )
+            _require_valid(f)
     return fixtures
 
 
+def _require_valid(fixture):
+    problems = validate_fixture(fixture)
+    if problems:
+        raise UsageError(
+            f"fixture {fixture.name} failed validation: " + "; ".join(problems)
+        )
+
+
 def fixture_by_name(name, validate=True):
-    for f in builtin_fixtures(validate):
+    """The shipped fixture called `name`; only that one is validated."""
+    for f in builtin_fixtures(validate=False):
         if f.name == name:
+            if validate:
+                _require_valid(f)
             return f
     raise UsageError(f"no fixture named {name!r}")
 
@@ -359,12 +372,13 @@ def validate_fixture(fixture, budget=DEFAULT_BUDGET):
         for key, value in cert.items()
         if key in CERTIFIED_FACTS
     }
-    if A.field.is_finite:
+    facts = _fp_facts(A, budget) if A.field.is_finite else None
+    if facts is not None:
         for key, claimed in claims.items():
             fact = CERTIFIED_FACTS[key]
             if fact.compute is None or key == "chief_series":
                 continue
-            actual = fact.compute(A, budget)
+            actual = fact.compute(facts)
             if not fact.single:
                 claimed = {s.basis for s in claimed}
                 actual = {s.basis for s in actual}
@@ -384,8 +398,8 @@ def validate_fixture(fixture, budget=DEFAULT_BUDGET):
         if not ok:
             problems.append("chief_series: not an ascending chain of ideals from 0 to A")
         else:
-            if A.field.is_finite:
-                known = CERTIFIED_FACTS["ideals"].compute(A, budget)
+            if facts is not None:
+                known = facts.ideals()
             else:
                 known = claims.get("ideals", [])
             for below, above in zip(chain, chain[1:]):
@@ -507,54 +521,72 @@ def search(
 ):
     """Yield algebras of the given dimension satisfying the identity class.
 
-    Exhaustive mode enumerates structure-constant tables in a fixed order
-    (number of nonzero constants ascending, then positions, then values),
-    so results are deterministic; `sparsity` bounds the number of nonzero
-    constants.  Random mode draws `samples` tables from a seeded generator
-    where `sparsity` is the probability that a constant is zero (default
-    0.75); tables failing the identity are skipped.
+    Exhaustive mode filters `exhaustive_algebras`, so results are
+    deterministic; `sparsity` bounds the number of nonzero constants.  Random
+    mode draws `samples` tables from a seeded generator where `sparsity` is
+    the probability that a constant is zero (default 0.75); tables failing
+    the identity are skipped.
     """
     if not field.is_finite:
         raise UsageError("search requires a finite field")
     kind = IdentityKind(kind)
-    if dim < 1:
-        raise UsageError("dimension must be at least 1")
-    slots = [
-        (i, j, k) for i in range(dim) for j in range(dim) for k in range(dim)
-    ]
-    nonzero_values = [x for x in field.elements() if x != field.zero]
+    _require_search_space(field, dim)
     if mode == "exhaustive":
-        max_nonzero = len(slots) if sparsity is None else int(sparsity)
-        if max_nonzero < 0:
-            raise UsageError("sparsity bound must be nonnegative")
-        size = _search_space_size(field.order, len(slots), max_nonzero)
-        if size > budget.max_vectors:
-            raise BudgetExceededError(
-                f"exhaustive search space has {size} tables, over the budget of "
-                f"{budget.max_vectors}; pass a sparsity bound (max nonzero "
-                "structure constants) to shrink it"
-            )
-        return _search_exhaustive(field, dim, kind, slots, nonzero_values, max_nonzero)
+        algebras = exhaustive_algebras(field, dim, sparsity, budget)
+        return (A for A in algebras if check_identity(A, kind))
     if mode == "random":
         if samples is None or seed is None:
             raise UsageError("random mode needs samples and seed")
         zero_probability = 0.75 if sparsity is None else float(sparsity)
         if not 0 <= zero_probability <= 1:
             raise UsageError("sparsity in random mode is a probability in [0, 1]")
+        slots, nonzero_values = _slots(field, dim)
         return _search_random(
             field, dim, kind, slots, nonzero_values, samples, seed, zero_probability
         )
     raise UsageError(f"unknown search mode {mode!r}")
 
 
-def _search_exhaustive(field, dim, kind, slots, nonzero_values, max_nonzero):
+def _require_search_space(field, dim):
+    if not field.is_finite:
+        raise UsageError("search requires a finite field")
+    if dim < 1:
+        raise UsageError("dimension must be at least 1")
+
+
+def _slots(field, dim):
+    """The (i, j, k) positions of a structure table and the nonzero scalars."""
+    slots = [(i, j, k) for i in range(dim) for j in range(dim) for k in range(dim)]
+    return slots, [x for x in field.elements() if x != field.zero]
+
+
+def exhaustive_algebras(field, dim, sparsity=None, budget=DEFAULT_BUDGET):
+    """Every structure-constant table of dimension `dim` over a finite field
+    with at most `sparsity` nonzero constants (default: any number), as an
+    algebra, in a fixed order: number of nonzero constants ascending, then
+    positions, then values.  Refuses up front when the count of tables
+    exceeds `budget.max_vectors`."""
+    _require_search_space(field, dim)
+    slots, nonzero_values = _slots(field, dim)
+    max_nonzero = len(slots) if sparsity is None else int(sparsity)
+    if max_nonzero < 0:
+        raise UsageError("sparsity bound must be nonnegative")
+    size = _search_space_size(field.order, len(slots), max_nonzero)
+    if size > budget.max_vectors:
+        raise BudgetExceededError(
+            f"exhaustive search space has {size} tables, over the budget of "
+            f"{budget.max_vectors}; pass a sparsity bound (max nonzero "
+            "structure constants) to shrink it"
+        )
+    return _exhaustive_algebras(field, dim, slots, nonzero_values, max_nonzero)
+
+
+def _exhaustive_algebras(field, dim, slots, nonzero_values, max_nonzero):
     for count in range(max_nonzero + 1):
         for positions in itertools.combinations(slots, count):
             for values in itertools.product(nonzero_values, repeat=count):
                 table = _table_from_entries(field, dim, zip(positions, values))
-                A = Algebra(field, dim, table)
-                if check_identity(A, kind):
-                    yield A
+                yield Algebra(field, dim, table)
 
 
 def _search_random(field, dim, kind, slots, nonzero_values, samples, seed, zero_probability):

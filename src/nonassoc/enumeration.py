@@ -7,6 +7,7 @@ operations that would blow past a budget fail loudly instead of degrading.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -283,6 +284,99 @@ def frattini(A: Algebra, budget: EnumerationBudget = DEFAULT_BUDGET) -> Frattini
         if f.is_zero():
             break
     return FrattiniData(f, ideal_core(A, f))
+
+
+class SubspaceLattice:
+    """The subalgebras and ideals of an algebra over F_p, from one pass over
+    its subspaces, and the facts that follow from the two lists.
+
+    The pass runs on first need: each subspace is tested once for being a
+    subalgebra, and only subalgebras for being an ideal (every ideal is a
+    subalgebra).  Both lists keep the canonical (dim, basis) order of
+    `iter_subspaces`, so every answer below breaks ties as the per-fact
+    enumerators above do.
+    """
+
+    def __init__(self, A: Algebra, budget: EnumerationBudget = DEFAULT_BUDGET):
+        self.algebra = A
+        self.budget = budget
+
+    @functools.cached_property
+    def _lists(self):
+        A = self.algebra
+        subs, ideal_list = [], []
+        for s in iter_subspaces(A.field, A.dim, budget=self.budget):
+            if is_subalgebra(A, s):
+                subs.append(s)
+                if is_ideal(A, s):
+                    ideal_list.append(s)
+        return subs, ideal_list
+
+    def subalgebras(self):
+        return list(self._lists[0])
+
+    def ideals(self):
+        return list(self._lists[1])
+
+    def minimal_ideals(self):
+        """Nonzero ideals containing no smaller nonzero ideal."""
+        minimal = []
+        for b in self._lists[1]:
+            if b.dim and not any(b.contains_subspace(m) for m in minimal):
+                minimal.append(b)
+        return minimal
+
+    def chief_series(self):
+        """From 0 to A, each term the first ideal in canonical order strictly
+        above the previous one, which is the first minimal such ideal."""
+        ideal_list = self._lists[1]
+        chain = [ideal_list[0]]
+        for b in ideal_list:
+            if b.dim > chain[-1].dim and b.contains_subspace(chain[-1]):
+                chain.append(b)
+        return chain
+
+    @functools.cached_property
+    def _maximal(self):
+        proper = [s for s in self._lists[0] if s.dim < self.algebra.dim]
+        maximal = []
+        for s in sorted(proper, key=lambda s: -s.dim):
+            if not any(m.contains_subspace(s) for m in maximal):
+                maximal.append(s)
+        maximal.sort(key=Subspace.sort_key)
+        return maximal
+
+    def maximal_subalgebras(self):
+        return list(self._maximal)
+
+    @functools.cached_property
+    def _frattini(self):
+        subs, ideal_list = self._lists
+        sub = next(s for s in reversed(subs) if all(m.contains_subspace(s) for m in self._maximal))
+        ideal = next(b for b in reversed(ideal_list) if sub.contains_subspace(b))
+        return FrattiniData(sub, ideal)
+
+    def frattini(self) -> FrattiniData:
+        """The Frattini subalgebra is the largest listed subalgebra inside
+        every maximal one, and the Frattini ideal the largest listed ideal
+        inside that; each is unique, so the first from the top is it."""
+        return self._frattini
+
+    def first_complement(self, sub: Subspace, inside: Subspace | None = None):
+        """First subalgebra W in canonical order with W & sub = 0 and
+        W + sub = inside (default the whole algebra), or None."""
+        target = inside if inside is not None else self.algebra.full_space()
+        if not target.contains_subspace(sub):
+            raise PreconditionError("containment", "complement target must contain the subspace")
+        k = target.dim - sub.dim
+        for w in self._lists[0]:
+            if (
+                w.dim == k
+                and (inside is None or target.contains_subspace(w))
+                and subspace_intersect(w, sub).is_zero()
+            ):
+                return w
+        return None
 
 
 def _qualifies(A, closure, kind):

@@ -51,6 +51,8 @@ class RationalField:
     one = Fraction(1)
 
     def coerce(self, x):
+        if isinstance(x, str):
+            return self.parse(x)
         try:
             return Fraction(x)
         except (TypeError, ValueError) as exc:

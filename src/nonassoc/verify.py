@@ -15,6 +15,7 @@ is recorded in the report's `assumed` list; fixture loading is
 responsible for validating certificates, not this module.
 """
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -50,6 +51,9 @@ from .enumeration import (
     DEFAULT_BUDGET,
     RadicalKind,
     NATURAL_CLASSES,
+    SubspaceLattice,
+    count_subspaces,
+    count_vectors,
     frattini,
     ideals as enumerate_ideals,
     iter_projective_vectors,
@@ -163,11 +167,67 @@ def _radical_key(kind):
     return f"radical_{kind.name.lower()}"
 
 
+# Algebras with at most this many subspaces get their F_p facts from one
+# SubspaceLattice; above it each fact is enumerated on its own.
+_LATTICE_CAP = 512
+
+
+class _Enumerated:
+    """F_p facts for algebras above the lattice limits: one enumeration per
+    fact, except that the Frattini data serves both `phi` and
+    `frattini_subalgebra`.  Each method looks its enumerator up when called,
+    so a module-level name rebound by a profiler or a test wrapper is the one
+    that runs."""
+
+    def __init__(self, algebra, budget):
+        self.algebra = algebra
+        self.budget = budget
+
+    def ideals(self):
+        return enumerate_ideals(self.algebra, self.budget)
+
+    def subalgebras(self):
+        return enumerate_subalgebras(self.algebra, self.budget)
+
+    def minimal_ideals(self):
+        return enumerate_minimal_ideals(self.algebra, self.budget)
+
+    def chief_series(self):
+        return list(chief_series(self.algebra).ideals)
+
+    def maximal_subalgebras(self):
+        return enumerate_maximal_subalgebras(self.algebra, self.budget)
+
+    @functools.cached_property
+    def _frattini(self):
+        return frattini(self.algebra, self.budget)
+
+    def frattini(self):
+        return self._frattini
+
+    def first_complement(self, sub, inside=None):
+        return find_complement_subalgebra(self.algebra, sub, inside, self.budget)
+
+
+def _fp_facts(A, budget):
+    """Where facts about `A` over F_p come from.  The lattice is taken only
+    where no per-fact enumeration could exceed `budget`, so the choice never
+    changes whether or where BudgetExceededError is raised."""
+    total = count_subspaces(A.field, A.dim)
+    if (
+        total <= _LATTICE_CAP
+        and total <= budget.max_subspaces
+        and count_vectors(A.field, A.dim) <= budget.max_vectors
+    ):
+        return SubspaceLattice(A, budget)
+    return _Enumerated(A, budget)
+
+
 @dataclass(frozen=True)
 class _Fact:
     """A certifiable fact: one subspace or a list of them, the words reports
-    use for it, and `compute(A, budget)` over F_p (None for facts that are
-    only ever read from a certificate)."""
+    use for it, and `compute(facts)` over F_p from a SubspaceLattice or
+    _Enumerated (None for facts that are only ever read from a certificate)."""
 
     single: bool
     what: str
@@ -175,39 +235,32 @@ class _Fact:
 
 
 # Every certifiable fact, by certificate key.  The verifier, fixture validation
-# and the file format all read this table.  Each lambda looks its enumerator up
-# when called, so a module-level name rebound by a profiler or a test wrapper
-# is the one that runs.
+# and the file format all read this table.  The radical lambdas look their
+# enumerator up when called, as _Enumerated does.
 CERTIFIED_FACTS = {
     **{
         _radical_key(kind): _Fact(
             True,
             f"{kind.value} radical",
-            lambda A, budget, kind=kind: enumerate_radical(A, kind, budget),
+            lambda facts, kind=kind: enumerate_radical(facts.algebra, kind, facts.budget),
         )
         for kind in RadicalKind
     },
-    "phi": _Fact(True, "Frattini ideal", lambda A, budget: frattini(A, budget).ideal),
+    "phi": _Fact(True, "Frattini ideal", lambda facts: facts.frattini().ideal),
     "frattini_subalgebra": _Fact(
-        True, "Frattini subalgebra", lambda A, budget: frattini(A, budget).subalgebra
+        True, "Frattini subalgebra", lambda facts: facts.frattini().subalgebra
     ),
     "zero_socle_complement": _Fact(True, "complement to the zero socle"),
     "square_complement": _Fact(True, "complement to the square"),
     "semisimple_part": _Fact(True, "semisimple part of the complement"),
     "radical_complement": _Fact(True, "complement to the radical"),
     "maximal_subalgebras": _Fact(
-        False,
-        "maximal subalgebra list",
-        lambda A, budget: enumerate_maximal_subalgebras(A, budget),
+        False, "maximal subalgebra list", lambda facts: facts.maximal_subalgebras()
     ),
-    "minimal_ideals": _Fact(
-        False, "minimal ideal list", lambda A, budget: enumerate_minimal_ideals(A, budget)
-    ),
-    "ideals": _Fact(False, "ideal list", lambda A, budget: enumerate_ideals(A, budget)),
-    "subalgebras": _Fact(
-        False, "subalgebra list", lambda A, budget: enumerate_subalgebras(A, budget)
-    ),
-    "chief_series": _Fact(False, "chief series", lambda A, budget: list(chief_series(A).ideals)),
+    "minimal_ideals": _Fact(False, "minimal ideal list", lambda facts: facts.minimal_ideals()),
+    "ideals": _Fact(False, "ideal list", lambda facts: facts.ideals()),
+    "subalgebras": _Fact(False, "subalgebra list", lambda facts: facts.subalgebras()),
+    "chief_series": _Fact(False, "chief series", lambda facts: facts.chief_series()),
     "simple_summands": _Fact(False, "simple summands"),
 }
 CERTIFIED_SUBSPACE_KEYS = tuple(key for key, fact in CERTIFIED_FACTS.items() if fact.single)
@@ -361,7 +414,7 @@ class Analyzer:
         fact = CERTIFIED_FACTS[cache_key]
         if self.algebra.field.is_finite:
             try:
-                value = fact.compute(base.algebra, self.budget)
+                value = fact.compute(self.fp_facts())
             except BudgetExceededError as e:
                 raise _NotApplicable(f"budget exceeded while computing {fact.what}: {e}")
             cache[cache_key] = (value, False, ())
@@ -374,6 +427,16 @@ class Analyzer:
             value = coerce(value)
         cache[cache_key] = (value, True, tuple(self._notes[mark:]))
         return value
+
+    def fp_facts(self):
+        """The source of F_p facts for the base orientation's algebra, chosen
+        and made on first need and shared with the mirrored view: ideals and
+        subalgebras are two-sided."""
+        cache = self._shared_cache
+        if "fp_facts" not in cache:
+            base = self._mirror_of if self._mirror_of is not None else self
+            cache["fp_facts"] = _fp_facts(base.algebra, self.budget)
+        return cache["fp_facts"]
 
     def radical(self, kind):
         kind = RadicalKind(kind)
@@ -541,7 +604,7 @@ def _complement(z, sub, key, inside=None):
     algebra): the first one found over F_p, None if there is none; over Q the
     certified one."""
     if z.algebra.field.is_finite:
-        return find_complement_subalgebra(z.algebra, sub, inside, z.budget)
+        return z.fp_facts().first_complement(sub, inside)
     return z.certified_subspace(key)
 
 
@@ -1296,7 +1359,7 @@ def check_split_iff_phi_free(z):
         A.field.is_finite,
         "requires a finite field to verify that no split exists",
     )
-    comp = find_complement_subalgebra(A, zsoc, None, z.budget)
+    comp = z.fp_facts().first_complement(zsoc)
     if comp is not None:
         return _fails(
             {
@@ -1344,7 +1407,7 @@ def check_biphifree_structure(z):
             A.field.is_finite,
             "requires a finite field to verify that no split exists",
         )
-        comp = find_complement_subalgebra(A, zsoc, None, z.budget)
+        comp = z.fp_facts().first_complement(zsoc)
         if comp is not None:
             return _fails(
                 {

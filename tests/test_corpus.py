@@ -6,10 +6,18 @@ from dataclasses import replace
 
 import pytest
 
-from nonassoc.algebra import IdentityKind, check_identity, is_ideal, is_subalgebra, subspace_product
+from nonassoc.algebra import (
+    Algebra,
+    IdentityKind,
+    check_identity,
+    is_ideal,
+    is_subalgebra,
+    subspace_product,
+)
 from nonassoc.corpus import (
     a_ex,
     builtin_fixtures,
+    exhaustive_algebras,
     fixture_by_name,
     one_sided_shift,
     search,
@@ -42,6 +50,37 @@ def test_fixture_names_are_unique_and_lookup_works():
     assert one.note
     with pytest.raises(UsageError):
         fixture_by_name("no_such_fixture")
+
+
+def test_fixture_by_name_validates_only_the_fixture_it_returns(monkeypatch):
+    import nonassoc.corpus as corpus
+
+    seen = []
+
+    def record(fixture, budget=None):
+        seen.append(fixture.name)
+        return ["claimed radical is wrong"] if fixture.name == "tpoly3_f2" else []
+
+    monkeypatch.setattr(corpus, "validate_fixture", record)
+    assert fixture_by_name("a_ex_f2").name == "a_ex_f2"
+    assert seen == ["a_ex_f2"]
+    with pytest.raises(UsageError, match="^fixture tpoly3_f2 failed validation: claimed radical is wrong$"):
+        fixture_by_name("tpoly3_f2")
+    with pytest.raises(UsageError, match="^fixture tpoly3_f2 failed validation: claimed radical is wrong$"):
+        builtin_fixtures()
+    assert fixture_by_name("tpoly3_f2", validate=False).name == "tpoly3_f2"
+
+
+def test_exhaustive_algebras_is_what_search_filters():
+    tables = [A.table for A in exhaustive_algebras(GF(2), 2, 2)]
+    assert len(tables) == 1 + 8 + 28
+    for kind in IdentityKind:
+        expected = [t for t in tables if check_identity(Algebra(GF(2), 2, t), kind)]
+        assert [A.table for A in search(GF(2), 2, kind, sparsity=2)] == expected
+    with pytest.raises(BudgetExceededError):
+        exhaustive_algebras(GF(3), 3)
+    with pytest.raises(UsageError):
+        exhaustive_algebras(QQ, 2)
 
 
 def test_every_fixture_validates():

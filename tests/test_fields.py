@@ -56,6 +56,16 @@ def test_qq_coerce_and_validate():
     QQ.validate(7)
 
 
+def test_qq_coerce_reads_strings_as_parse_does():
+    # exponent notation is refused before Fraction expands it, which for
+    # "1e300000" would build a 300,001-digit integer
+    for bad in ("1e300000", "2E5", "1/0"):
+        with pytest.raises(UsageError):
+            QQ.coerce(bad)
+    assert QQ.coerce(" 5/6 ") == Fraction(5, 6)
+    assert QQ.coerce("1.5") == Fraction(3, 2)
+
+
 def test_gf_basics():
     f5 = GF(5)
     assert f5.order == 5
