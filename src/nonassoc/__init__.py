@@ -14,7 +14,6 @@ from .algebra import (
     IdentityKind,
     annihilator,
     check_identity,
-    classify,
     first_identity_failure,
     idealizer,
     is_ideal,
@@ -123,7 +122,6 @@ __all__ = [
     "describe",
     "builtin_fixtures",
     "check_identity",
-    "classify",
     "chief_series",
     "compute_series",
     "decompose_semisimple_bicommutative",

@@ -527,14 +527,12 @@ def search(
     the probability that a constant is zero (default 0.75); tables failing
     the identity are skipped.
     """
-    if not field.is_finite:
-        raise UsageError("search requires a finite field")
     kind = IdentityKind(kind)
-    _require_search_space(field, dim)
     if mode == "exhaustive":
         algebras = exhaustive_algebras(field, dim, sparsity, budget)
         return (A for A in algebras if check_identity(A, kind))
     if mode == "random":
+        _require_search_space(field, dim)
         if samples is None or seed is None:
             raise UsageError("random mode needs samples and seed")
         zero_probability = 0.75 if sparsity is None else float(sparsity)

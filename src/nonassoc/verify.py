@@ -167,13 +167,8 @@ def _radical_key(kind):
     return f"radical_{kind.name.lower()}"
 
 
-# Algebras with at most this many subspaces get their F_p facts from one
-# SubspaceLattice; above it each fact is enumerated on its own.
-_LATTICE_CAP = 512
-
-
 class _Enumerated:
-    """F_p facts for algebras above the lattice limits: one enumeration per
+    """F_p facts for algebras over the enumeration budget: one enumeration per
     fact, except that the Frattini data serves both `phi` and
     `frattini_subalgebra`.  Each method looks its enumerator up when called,
     so a module-level name rebound by a profiler or a test wrapper is the one
@@ -210,13 +205,11 @@ class _Enumerated:
 
 
 def _fp_facts(A, budget):
-    """Where facts about `A` over F_p come from.  The lattice is taken only
-    where no per-fact enumeration could exceed `budget`, so the choice never
-    changes whether or where BudgetExceededError is raised."""
-    total = count_subspaces(A.field, A.dim)
+    """Where facts about `A` over F_p come from.  The lattice is taken
+    wherever no per-fact enumeration could exceed `budget`, so the choice
+    never changes whether or where BudgetExceededError is raised."""
     if (
-        total <= _LATTICE_CAP
-        and total <= budget.max_subspaces
+        count_subspaces(A.field, A.dim) <= budget.max_subspaces
         and count_vectors(A.field, A.dim) <= budget.max_vectors
     ):
         return SubspaceLattice(A, budget)

@@ -2,7 +2,7 @@
 
 `verify_all` reads ideals, subalgebras, minimal ideals, chief series, maximal
 subalgebras, Frattini data and first complements off one `SubspaceLattice`
-for small algebras over F_p.  The enumerators in `enumeration`, `series` and
+for algebras over F_p within the enumeration budget.  The enumerators in `enumeration`, `series` and
 `structure` stay the oracle: on both F_2 pools of the soundness gate, on every
 finite fixture and on seeded F_3 pool members, every fact must be equal,
 order included.  Under tiny budgets, where the lattice is taken only at the
@@ -131,7 +131,9 @@ def test_tiny_budgets_report_as_without_the_lattice(monkeypatch):
             with_lattice = verify_all(A, certified=cert, budget=budget)
             if A.field.is_finite:
                 used += isinstance(verify_module._fp_facts(A, budget), SubspaceLattice)
-            monkeypatch.setattr(verify_module, "_LATTICE_CAP", 0)
+            monkeypatch.setattr(
+                verify_module, "_fp_facts", lambda A, budget: verify_module._Enumerated(A, budget)
+            )
             assert verify_all(A, certified=cert, budget=budget) == with_lattice, (A.table, budget)
             monkeypatch.undo()
     # the lattice is taken in some of these cases, at the edge of the budget
