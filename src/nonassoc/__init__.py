@@ -10,7 +10,6 @@ structure-theorem checks against any algebra, exactly and deterministically.
 
 from .algebra import (
     Algebra,
-    Element,
     IdentityKind,
     annihilator,
     check_identity,
@@ -95,7 +94,6 @@ __all__ = [
     "CheckId",
     "ChiefSeries",
     "DEFAULT_BUDGET",
-    "Element",
     "EnumerationBudget",
     "Fixture",
     "FrattiniData",

@@ -83,9 +83,6 @@ class Algebra:
     def basis_vectors(self):
         return [self.basis_vector(i) for i in range(self.dim)]
 
-    def basis_element(self, i):
-        return Element(self, self.basis_vector(i))
-
     def multiply(self, u, v):
         """Bilinear product of coordinate vectors."""
         field = self.field
@@ -174,71 +171,6 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.field!r}, dim={self.dim})"
-
-
-class Element:
-    """A vector of an algebra with operator sugar; coordinates stay canonical."""
-
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra, coords):
-        self.algebra = algebra
-        self.coords = tuple(coords)
-
-    def _check_peer(self, other):
-        if not isinstance(other, Element) or other.algebra is not self.algebra:
-            if isinstance(other, Element) and other.algebra == self.algebra:
-                return
-            raise UsageError("elements belong to different algebras")
-
-    def __add__(self, other):
-        self._check_peer(other)
-        f = self.algebra.field
-        return Element(self.algebra, tuple(f.add(a, b) for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check_peer(other)
-        f = self.algebra.field
-        return Element(self.algebra, tuple(f.sub(a, b) for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        f = self.algebra.field
-        return Element(self.algebra, tuple(f.neg(a) for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            self._check_peer(other)
-            return Element(self.algebra, self.algebra.multiply(self.coords, other.coords))
-        return self.scale(other)
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
-    def scale(self, scalar):
-        f = self.algebra.field
-        s = f.coerce(scalar)
-        return Element(self.algebra, tuple(f.mul(s, a) for a in self.coords))
-
-    def is_zero(self):
-        return self.algebra.is_zero_vector(self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.algebra == other.algebra
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return f"<{self.algebra.render_vector(self.coords)}>"
-
-
-def associator(x: Element, y: Element, z: Element) -> Element:
-    """(x, y, z) = (xy)z - x(yz)."""
-    return (x * y) * z - x * (y * z)
 
 
 def _vec_sub(field, u, v):
@@ -424,12 +356,11 @@ def annihilator(A: Algebra, b: Subspace) -> Subspace:
 
 
 class QuotientMap:
-    """The projection A -> A/I as an explicit linear map."""
+    """The projection A -> A/I, read off the ideal's echelon form."""
 
-    __slots__ = ("matrix", "ideal", "coords")
+    __slots__ = ("ideal", "coords")
 
-    def __init__(self, matrix, ideal, coords):
-        self.matrix = matrix
+    def __init__(self, ideal, coords):
         self.ideal = ideal
         self.coords = coords
 
@@ -452,11 +383,7 @@ def quotient(A: Algebra, ideal: Subspace):
             row.append(tuple(red[c] for c in coords))
         table.append(row)
     labels = tuple(A.labels[c] for c in coords) if A.labels else None
-    Q = Algebra(A.field, m, table, labels)
-    proj_rows = []
-    for c in coords:
-        proj_rows.append([ideal.reduce(A.basis_vector(k))[c] for k in range(A.dim)])
-    return Q, QuotientMap(Matrix(A.field, proj_rows, ncols=A.dim), ideal, coords)
+    return Algebra(A.field, m, table, labels), QuotientMap(ideal, coords)
 
 
 def restrict(A: Algebra, sub: Subspace):

@@ -292,7 +292,7 @@ def cmd_minimal_ideals(ns):
 def cmd_chief_series(ns):
     doc = _load(ns)
     A = doc.algebra
-    series = chief_series(A)
+    series = chief_series(A, budget=_budget(ns))
     names = _names(A)
     payload = {
         "ideals": [_jsonable(b) for b in series.ideals],

@@ -27,7 +27,7 @@ from .algebra import (
     subspace_product,
 )
 from .enumeration import DEFAULT_BUDGET, RadicalKind, _qualifies
-from .verify import (
+from .analyzer import (
     CERTIFIED_FACTS,
     CERTIFIED_KEYS,
     _coerce_certified,

@@ -286,6 +286,27 @@ def frattini(A: Algebra, budget: EnumerationBudget = DEFAULT_BUDGET) -> Frattini
     return FrattiniData(f, ideal_core(A, f))
 
 
+def find_complement_subalgebra(A, sub, inside=None, budget=DEFAULT_BUDGET):
+    """First subalgebra W in canonical order with W & sub = 0 and W + sub = inside.
+
+    `inside` defaults to the whole algebra.  Returns None when the exhaustive
+    search finds nothing.
+    """
+    target = inside if inside is not None else A.full_space()
+    if not target.contains_subspace(sub):
+        raise PreconditionError("containment", "complement target must contain the subspace")
+    k = target.dim - sub.dim
+    for w in iter_subspaces(A.field, A.dim, dim=k, budget=budget):
+        if inside is not None and not target.contains_subspace(w):
+            continue
+        if not subspace_intersect(w, sub).is_zero():
+            continue
+        if not is_subalgebra(A, w):
+            continue
+        return w
+    return None
+
+
 class SubspaceLattice:
     """The subalgebras and ideals of an algebra over F_p, from one pass over
     its subspaces, and the facts that follow from the two lists.

@@ -26,7 +26,7 @@ from .algebra import Algebra, IdentityKind
 from .errors import AlgebraFileError, UsageError
 from .fields import GF, QQ
 from .linalg import span
-from .verify import CERTIFIED_FACTS, CERTIFIED_KEYS, _coerce_certified
+from .analyzer import CERTIFIED_FACTS, CERTIFIED_KEYS, _coerce_certified
 
 _TOP_KEYS = {"field", "dim", "basis", "products", "name", "note", "certified"}
 

@@ -155,9 +155,12 @@ class ChiefSeries:
         )
 
 
-def chief_series(A: Algebra, frm: Subspace | None = None, to: Subspace | None = None) -> ChiefSeries:
-    """Deterministic chief series between two ideals (defaults: 0 up to A)."""
-    from .enumeration import minimal_overideals  # local import to avoid a cycle
+def chief_series(
+    A: Algebra, frm: Subspace | None = None, to: Subspace | None = None, budget=None
+) -> ChiefSeries:
+    """Deterministic chief series between two ideals (defaults: 0 up to A),
+    each step a sweep of vectors within `budget` (default DEFAULT_BUDGET)."""
+    from .enumeration import DEFAULT_BUDGET, minimal_overideals  # local import to avoid a cycle
 
     if not A.field.is_finite:
         raise UnsupportedOperationError("chief series requires a finite field")
@@ -169,7 +172,7 @@ def chief_series(A: Algebra, frm: Subspace | None = None, to: Subspace | None = 
         raise UsageError("series start must lie inside its end")
     chain = [frm]
     while chain[-1] != to:
-        step = minimal_overideals(A, chain[-1], to)
+        step = minimal_overideals(A, chain[-1], to, budget or DEFAULT_BUDGET)
         if not step:
             raise ToolkitError("no minimal overideal found; this should be unreachable")
         chain.append(step[0])

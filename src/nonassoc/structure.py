@@ -1,24 +1,31 @@
-"""Decomposition constructors for the structure theory of the supported classes.
+"""Decomposition builders for the structure theory of the supported classes.
 
-Two main entry points:
+Each builder reads its facts from an `Analyzer`, the provider the verifier's
+checks read as well, and each check that states one of these theorems calls
+its builder, so every decomposition is derived in one place:
 
-* decompose_semisimple_bicommutative: a semisimple bicommutative algebra S
-  splits as S = S^2 (+) U where S^2 is the direct sum of simple minimal
-  ideals and U is a square-zero complement subalgebra.
-* phi_free_split: an algebra whose Frattini ideal vanishes splits over its
-  zero socle; for bicommutative and Novikov inputs extra refinement pieces
-  are computed and verified.
+* zero_socle_split: a phi-free algebra splits over its zero socle; when the
+  Frattini ideal is nonzero, no complement exists.
+* semisimple_decomposition: a semisimple bicommutative algebra S splits as
+  S = S^2 (+) U where S^2 is the direct sum of simple minimal ideals and U is
+  a square-zero complement subalgebra.
+* bicommutative_split and novikov_refinement: the refinement pieces of a
+  phi-free split for bicommutative and Novikov algebras.
 
-Searches are exhaustive within the enumeration budget and deterministic
-(canonical subspace order), so the first hit is reproducible.  A failed
-search on an input that satisfies the hypotheses raises
-TheoremViolationError: either an implementation bug or a genuine
-counterexample, never ignored.
+Over F_p a complement is the first in canonical subspace order, so results
+are reproducible; over Q the builders read certified complements and skip
+the fine structure of the semisimple part.  A decomposition the theory
+guarantees but the input lacks raises TheoremViolationError: either an
+implementation bug or a genuine counterexample, never ignored.
+
+The public phi_free_split and decompose_semisimple_bicommutative run the
+builders on an Analyzer of their own and require a finite field.
 """
 
+import itertools
 from dataclasses import dataclass
 
-from .errors import PreconditionError, TheoremViolationError
+from .errors import PreconditionError, TheoremViolationError, UnsupportedOperationError
 from .linalg import Echelon, Subspace, span, subspace_intersect, subspace_sum
 from .algebra import (
     Algebra,
@@ -33,15 +40,15 @@ from .algebra import (
 from .series import nilpotency_profile
 from .enumeration import (
     DEFAULT_BUDGET,
+    NATURAL_CLASSES,
     RadicalKind,
+    find_complement_subalgebra,  # noqa: F401  (re-exported)
     frattini,
     ideals,
     is_semisimple,
-    iter_subspaces,
-    minimal_ideals,
     radical,
-    zero_socle,
 )
+from .analyzer import Analyzer
 
 
 @dataclass(frozen=True)
@@ -65,10 +72,11 @@ class BicommutativeSplitExtras:
     The complement C decomposes as zero_part (+) semisimple_part where
     zero_part = C intersect radical squares to zero, and the two pieces
     annihilate each other.  The semisimple part then decomposes like any
-    semisimple bicommutative algebra.  The zero socle splits into the part
-    that annihilates the radical from the left (socle_killing_radical,
-    Z*R = 0) and the part the radical annihilates (radical_killing_socle,
-    R*Z = 0).
+    semisimple bicommutative algebra (simples, simple_complement and
+    action_pattern; None over Q, where that is not computed).  The zero socle
+    splits into the part that annihilates the radical from the left
+    (socle_killing_radical, Z*R = 0) and the part the radical annihilates
+    (radical_killing_socle, R*Z = 0).
     """
 
     radical: Subspace
@@ -154,26 +162,6 @@ def lift_subspace(field, ambient, embedding_rows, sub):
     return span(field, ambient, vectors)
 
 
-def simple_ideal_failure(A, b, budget=DEFAULT_BUDGET):
-    """Why the subspace b is not simple as an algebra in its own right.
-
-    Returns None when b is simple (nonzero square and no proper nonzero
-    ideal of itself), else a small dict describing the obstruction.
-    Requires a finite field to enumerate the ideals of the restriction.
-    """
-    if subspace_product(A, b, b).is_zero():
-        return {"problem": "square is zero", "subspace": b}
-    b_alg, emb = restrict(A, b)
-    for i in ideals(b_alg, budget):
-        if 0 < i.dim < b_alg.dim:
-            return {
-                "problem": "proper nonzero ideal",
-                "subspace": b,
-                "ideal": lift_subspace(A.field, A.dim, emb, i),
-            }
-    return None
-
-
 def action_sides(A, left, right):
     """(left*right == 0, right*left == 0) as a pair of booleans."""
     return (
@@ -182,24 +170,36 @@ def action_sides(A, left, right):
     )
 
 
-def find_complement_subalgebra(A, sub, inside=None, budget=DEFAULT_BUDGET):
-    """First subalgebra W in canonical order with W & sub = 0 and W + sub = inside.
+def is_complement(A, comp, sub, whole):
+    """Is `comp` a subalgebra with comp & sub = 0 and comp + sub = whole?"""
+    return (
+        comp is not None
+        and is_subalgebra(A, comp)
+        and subspace_intersect(comp, sub).is_zero()
+        and subspace_sum(comp, sub) == whole
+    )
 
-    `inside` defaults to the whole algebra.  Returns None when the exhaustive
-    search finds nothing.
+
+def simplicity_failure(z, m):
+    """Counterexample entries showing the ideal `m` is not simple, or None.
+
+    Decided over F_p, where a simple algebra has a nonzero square and no
+    proper nonzero ideal of itself; over Q only m*m = m is tested and
+    simplicity assumed.
     """
-    target = inside if inside is not None else A.full_space()
-    if not target.contains_subspace(sub):
-        raise PreconditionError("containment", "complement target must contain the subspace")
-    k = target.dim - sub.dim
-    for w in iter_subspaces(A.field, A.dim, dim=k, budget=budget):
-        if inside is not None and not target.contains_subspace(w):
-            continue
-        if not subspace_intersect(w, sub).is_zero():
-            continue
-        if not is_subalgebra(A, w):
-            continue
-        return w
+    A = z.algebra
+    if not A.field.is_finite:
+        if z.prod(m, m) != m:
+            return {"summand": m}
+        z.assume("simplicity of certified minimal ideals not re-verified over Q")
+        return None
+    if z.prod(m, m).is_zero():
+        return {"detail": {"problem": "square is zero", "subspace": m}}
+    m_alg, emb = restrict(A, m)
+    for i in ideals(m_alg, z.budget):
+        if 0 < i.dim < m_alg.dim:
+            ideal = lift_subspace(A.field, A.dim, emb, i)
+            return {"detail": {"problem": "proper nonzero ideal", "subspace": m, "ideal": ideal}}
     return None
 
 
@@ -224,73 +224,128 @@ def split_zero_socle_by_radical(A, zero_ideals, rad):
     return left.subspace(), right.subspace(), None
 
 
-def decompose_semisimple_bicommutative(S: Algebra, budget=DEFAULT_BUDGET):
-    """Split a semisimple bicommutative algebra as simples plus a square-zero complement."""
-    _require_finite_field(S, "semisimple decomposition")
-    if not check_identity(S, IdentityKind.BICOMMUTATIVE):
-        raise PreconditionError("bicommutative")
-    if not is_semisimple(S, budget):
-        raise PreconditionError("semisimple")
+def has_natural_identity(z):
+    return any(z.identity(k) for k in NATURAL_CLASSES)
 
-    full = S.full_space()
-    square = subspace_product(S, full, full)
-    simples = tuple(
-        b for b in minimal_ideals(S, budget) if square.contains_subspace(b)
+
+def require_ideal_products(z):
+    """Refuse unless products of ideals are ideals: true in a natural
+    identity class, and tested by enumeration over F_p otherwise."""
+    if has_natural_identity(z):
+        return
+    if z.algebra.field.is_finite:
+        for left, right in itertools.product(z.ideals(), repeat=2):
+            if not is_ideal(z.algebra, z.prod(left, right)):
+                raise PreconditionError(
+                    "ideal products", "products of ideals are not all ideals, so the hypothesis fails"
+                )
+        z.note("ideal-product hypothesis verified by enumeration")
+        return
+    raise PreconditionError(
+        "ideal products",
+        "requires a natural identity class or a finite field to test the "
+        "ideal-product hypothesis",
     )
-    if not direct_sum_equals(S.field, S.dim, simples, square):
+
+
+def zero_socle_split(z, phi):
+    """The zero socle Z of the analyzer's algebra and a subalgebra complement C.
+
+    Given the Frattini ideal `phi`: when it is zero, the algebra splits over
+    Z and (Z, C) is returned.  When `phi` is nonzero and nilpotent, no
+    complement may exist: a split forces phi = 0 because the minimal ideals
+    inside a nilpotent Frattini ideal are zero ideals, which needs products
+    of ideals to be ideals (refused here when they are not).  The search
+    must then come up empty, and (Z, None) is returned.
+    """
+    A = z.algebra
+    zsoc = z.zero_socle()
+    if phi.is_zero():
+        comp = z.complement(zsoc, "zero_socle_complement")
+        if not is_complement(A, comp, zsoc, A.full_space()):
+            raise TheoremViolationError(
+                "phi-free algebra does not split over its zero socle",
+                {"zero_socle": zsoc, "complement": comp},
+            )
+        return zsoc, comp
+    require_ideal_products(z)
+    if not A.field.is_finite:
+        raise UnsupportedOperationError("requires a finite field to verify that no split exists")
+    comp = z.fp_facts().first_complement(zsoc)
+    if comp is not None:
+        raise TheoremViolationError(
+            "algebra with nonzero Frattini ideal splits over its zero socle",
+            {"phi": phi, "zero_socle": zsoc, "complement": comp},
+        )
+    return zsoc, None
+
+
+def semisimple_decomposition(z):
+    """Split a semisimple bicommutative algebra as simples plus a square-zero complement."""
+    if not z.identity(IdentityKind.BICOMMUTATIVE):
+        raise PreconditionError("bicommutative", "requires a bicommutative algebra")
+    if not z.radical(RadicalKind.SOLVABLE).is_zero():
+        raise PreconditionError("semisimple", "requires a semisimple algebra")
+    A = z.algebra
+    square = z.square()
+    simples = tuple(b for b in z.minimal_ideals() if square.contains_subspace(b))
+    if not direct_sum_equals(A.field, A.dim, simples, square):
         raise TheoremViolationError(
             "minimal ideals inside the square do not sum directly to it",
             {"square": square, "simples": simples},
         )
     for b in simples:
-        bad = simple_ideal_failure(S, b, budget)
-        if bad is not None:
-            raise TheoremViolationError("a minimal ideal inside the square is not simple", bad)
-
-    complement = find_complement_subalgebra(S, square, None, budget)
-    if complement is None:
+        bad = simplicity_failure(z, b)
+        if bad:
+            raise TheoremViolationError("summand is not simple", bad)
+    comp = z.complement(square, "square_complement")
+    if not is_complement(A, comp, square, A.full_space()):
         raise TheoremViolationError(
-            "no subalgebra complement to the square exists", {"square": square}
+            "no subalgebra complement to the square", {"square": square, "complement": comp}
         )
-    if not subspace_product(S, complement, complement).is_zero():
-        raise TheoremViolationError(
-            "complement to the square does not square to zero", {"complement": complement}
-        )
-
+    if not z.prod(comp, comp).is_zero():
+        raise TheoremViolationError("complement does not square to zero", {"complement": comp})
     pattern = []
     for b in simples:
-        sides = action_sides(A=S, left=b, right=complement)
+        sides = action_sides(A, b, comp)
         if not (sides[0] or sides[1]):
             raise TheoremViolationError(
-                "a simple summand multiplies the complement nontrivially on both sides",
-                {"simple": b, "complement": complement},
+                "simple summand and complement multiply nontrivially both ways",
+                {"simple": b, "complement": comp},
             )
         pattern.append(sides)
-    return SemisimpleBicommutativeDecomposition(simples, complement, square, tuple(pattern))
+    return SemisimpleBicommutativeDecomposition(simples, comp, square, tuple(pattern))
 
 
-def _bicommutative_extras(A, zsoc, comp, budget):
-    rad = radical(A, RadicalKind.SOLVABLE, budget)
+def bicommutative_split(z, phi):
+    """zero_socle_split for a bicommutative algebra, refined when phi = 0.
+
+    Returns (zero socle, complement, BicommutativeSplitExtras); the last two
+    are None when `phi` is nonzero.
+    """
+    A = z.algebra
+    rad = z.radical(RadicalKind.SOLVABLE)
+    zsoc, comp = zero_socle_split(z, phi)
+    if comp is None:
+        return zsoc, None, None
     zero_part = subspace_intersect(comp, rad)
     if not (
         subspace_sum(zsoc, zero_part) == rad
         and subspace_intersect(zsoc, zero_part).is_zero()
     ):
         raise TheoremViolationError(
-            "radical is not the direct vector-space sum of zero socle and complement overlap",
+            "radical is not zero socle plus complement overlap",
             {"radical": rad, "zero_socle": zsoc, "overlap": zero_part},
         )
-    if not subspace_product(A, zero_part, zero_part).is_zero():
+    if not z.prod(zero_part, zero_part).is_zero():
         raise TheoremViolationError(
-            "complement overlap with the radical does not square to zero",
-            {"overlap": zero_part},
+            "complement overlap does not square to zero", {"overlap": zero_part}
         )
-
-    semi = find_complement_subalgebra(A, zero_part, inside=comp, budget=budget)
-    if semi is None:
+    semi = z.complement(zero_part, "semisimple_part", inside=comp)
+    if not is_complement(A, semi, zero_part, comp):
         raise TheoremViolationError(
-            "no subalgebra complement to the radical part inside the complement",
-            {"complement": comp, "zero_part": zero_part},
+            "complement does not split into zero part plus subalgebra",
+            {"complement": comp, "zero_part": zero_part, "semisimple_part": semi},
         )
     sides = action_sides(A, zero_part, semi)
     if not (sides[0] and sides[1]):
@@ -298,91 +353,91 @@ def _bicommutative_extras(A, zsoc, comp, budget):
             "zero part and semisimple part do not annihilate each other",
             {"zero_part": zero_part, "semisimple_part": semi},
         )
-
-    semi_alg, emb = restrict(A, semi)
-    if not is_semisimple(semi_alg, budget):
-        raise TheoremViolationError(
-            "semisimple part of the complement has a nonzero radical",
-            {"semisimple_part": semi},
-        )
-    dec = decompose_semisimple_bicommutative(semi_alg, budget)
-    simples = tuple(lift_subspace(A.field, A.dim, emb, s) for s in dec.simples)
-    square = subspace_product(A, semi, semi)
-    simple_comp = lift_subspace(A.field, A.dim, emb, dec.complement)
-    for s in simples:
-        s_alg, _ = restrict(A, s)
-        if not (
-            check_identity(s_alg, IdentityKind.COMMUTATIVE)
-            and check_identity(s_alg, IdentityKind.ASSOCIATIVE)
-        ):
+    simples = simple_comp = pattern = None
+    if A.field.is_finite:
+        semi_alg, emb = restrict(A, semi)
+        try:
+            dec = decompose_semisimple_bicommutative(semi_alg, z.budget)
+        except (PreconditionError, TheoremViolationError) as e:
             raise TheoremViolationError(
-                "a simple summand is not commutative associative", {"simple": s}
+                "semisimple part does not decompose",
+                {"semisimple_part": semi, "detail": str(e)},
             )
-
-    zero_ideals = [
-        b for b in minimal_ideals(A, budget) if subspace_product(A, b, b).is_zero()
-    ]
+        simples = tuple(lift_subspace(A.field, A.dim, emb, s) for s in dec.simples)
+        for s in simples:
+            s_alg, _ = restrict(A, s)
+            if not (
+                check_identity(s_alg, IdentityKind.COMMUTATIVE)
+                and check_identity(s_alg, IdentityKind.ASSOCIATIVE)
+            ):
+                raise TheoremViolationError(
+                    "simple summand is not commutative associative", {"simple": s}
+                )
+        simple_comp = lift_subspace(A.field, A.dim, emb, dec.complement)
+        pattern = dec.action_pattern
+    else:
+        z.note("fine structure of the semisimple part skipped over the rationals")
+    zero_ideals = [b for b in z.minimal_ideals() if z.prod(b, b).is_zero()]
     z_left, z_right, bad = split_zero_socle_by_radical(A, zero_ideals, rad)
     if bad is not None:
-        raise TheoremViolationError(
-            "a minimal zero ideal multiplies the radical nontrivially on both sides", bad
-        )
+        raise TheoremViolationError(bad["problem"], {"subspace": bad["subspace"]})
     if not direct_sum_equals(A.field, A.dim, [z_left, z_right], zsoc):
         raise TheoremViolationError(
-            "zero socle is not the direct sum of its two annihilation parts",
-            {"left": z_left, "right": z_right, "zero_socle": zsoc},
+            "zero socle is not the direct sum of its annihilation parts",
+            {"left_part": z_left, "right_part": z_right},
         )
-    return BicommutativeSplitExtras(
+    extras = BicommutativeSplitExtras(
         radical=rad,
         zero_part=zero_part,
         semisimple_part=semi,
-        square=square,
+        square=z.prod(semi, semi),
         simples=simples,
         simple_complement=simple_comp,
-        action_pattern=dec.action_pattern,
+        action_pattern=pattern,
         socle_killing_radical=z_left,
         radical_killing_socle=z_right,
     )
+    return zsoc, comp, extras
 
 
-def _novikov_extras(A, comp, orientation, budget):
-    rad = radical(A, RadicalKind.SOLVABLE, budget)
+def novikov_refinement(view, comp):
+    """The whole algebra annihilates C & R, for a phi-free Novikov algebra
+    read in its left orientation `view` (the mirrored analyzer when the
+    algebra is right Novikov) and its zero-socle complement `comp`."""
+    A = view.algebra
+    rad = view.radical(RadicalKind.SOLVABLE)
     overlap = subspace_intersect(comp, rad)
-    if orientation == "left":
-        product = subspace_product(A, A.full_space(), overlap)
-    else:
-        product = subspace_product(A, overlap, A.full_space())
+    product = view.prod(A.full_space(), overlap)
     if not product.is_zero():
         raise TheoremViolationError(
-            "the algebra does not annihilate the complement-radical overlap",
-            {"overlap": overlap, "product": product, "orientation": orientation},
+            "algebra does not annihilate the complement-radical overlap",
+            {"overlap": overlap, "product": product},
         )
-    return NovikovSplitExtras(rad, overlap, product, orientation)
+    return NovikovSplitExtras(rad, overlap, product, "right" if view.is_mirror else "left")
+
+
+def decompose_semisimple_bicommutative(S: Algebra, budget=DEFAULT_BUDGET):
+    """Split a semisimple bicommutative algebra over F_p as simples plus a square-zero complement."""
+    _require_finite_field(S, "semisimple decomposition")
+    return semisimple_decomposition(Analyzer(S, budget=budget))
 
 
 def phi_free_split(A: Algebra, budget=DEFAULT_BUDGET):
-    """Split a phi-free algebra over its zero socle, with class-specific extras."""
+    """Split a phi-free algebra over F_p over its zero socle, with class-specific extras."""
     _require_finite_field(A, "phi-free splitting")
-    fr = frattini(A, budget)
-    if not fr.ideal.is_zero():
-        raise PreconditionError(
-            "phi-free", "not phi-free: the Frattini ideal is nonzero"
-        )
-    zsoc = zero_socle(A, budget)
-    comp = find_complement_subalgebra(A, zsoc, None, budget)
-    if comp is None:
-        raise TheoremViolationError(
-            "no subalgebra complement to the zero socle exists", {"zero_socle": zsoc}
-        )
-
-    bic = None
-    nov = None
-    if check_identity(A, IdentityKind.BICOMMUTATIVE):
-        bic = _bicommutative_extras(A, zsoc, comp, budget)
-    if check_identity(A, IdentityKind.NOVIKOV_LEFT):
-        nov = _novikov_extras(A, comp, "left", budget)
-    elif check_identity(A, IdentityKind.NOVIKOV_RIGHT):
-        nov = _novikov_extras(A, comp, "right", budget)
+    z = Analyzer(A, budget=budget)
+    phi = z.phi()
+    if not phi.is_zero():
+        raise PreconditionError("phi-free", "not phi-free: the Frattini ideal is nonzero")
+    bic = nov = None
+    if z.identity(IdentityKind.BICOMMUTATIVE):
+        zsoc, comp, bic = bicommutative_split(z, phi)
+    else:
+        zsoc, comp = zero_socle_split(z, phi)
+    if z.identity(IdentityKind.NOVIKOV_LEFT):
+        nov = novikov_refinement(z, comp)
+    elif z.identity(IdentityKind.NOVIKOV_RIGHT):
+        nov = novikov_refinement(z.mirrored(), comp)
     return PhiFreeSplit(zsoc, comp, bic, nov)
 
 

@@ -13,11 +13,14 @@ fields.  Over the rationals enumeration is impossible, so checks accept a
 ideal lists, complements).  Certified values are trusted, and every use
 is recorded in the report's `assumed` list; fixture loading is
 responsible for validating certificates, not this module.
+
+Facts come from an `analyzer.Analyzer`.  A check that states a
+decomposition calls its builder in `structure`, and a TheoremViolationError
+raised there is reported as the check failing, with the error's message as
+the counterexample's `problem`.
 """
 
-import functools
 import itertools
-import random
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,7 +31,7 @@ from .errors import (
     UnsupportedOperationError,
     UsageError,
 )
-from .linalg import Echelon, Subspace, span, subspace_intersect, subspace_sum
+from .linalg import Subspace, span, subspace_intersect
 from .algebra import (
     Algebra,
     IdentityKind,
@@ -41,35 +44,22 @@ from .algebra import (
     is_left_ideal,
     is_right_nil,
     is_subalgebra,
-    opposite,
     quotient,
     restrict,
-    subspace_product,
 )
-from .series import SeriesKind, chief_series, compute_series, nilpotency_profile
-from .enumeration import (
-    DEFAULT_BUDGET,
-    RadicalKind,
-    NATURAL_CLASSES,
-    SubspaceLattice,
-    count_subspaces,
-    count_vectors,
-    frattini,
-    ideals as enumerate_ideals,
-    iter_projective_vectors,
-    maximal_subalgebras as enumerate_maximal_subalgebras,
-    minimal_ideals as enumerate_minimal_ideals,
-    radical as enumerate_radical,
-    subalgebras as enumerate_subalgebras,
-)
+from .series import SeriesKind, compute_series
+from .enumeration import DEFAULT_BUDGET, RadicalKind
+from .analyzer import Analyzer
 from .structure import (
-    action_sides,
-    decompose_semisimple_bicommutative,
+    bicommutative_split,
     direct_sum_equals,
-    find_complement_subalgebra,
-    lift_subspace,
-    simple_ideal_failure,
-    split_zero_socle_by_radical,
+    has_natural_identity,
+    is_complement,
+    novikov_refinement,
+    require_ideal_products,
+    semisimple_decomposition,
+    simplicity_failure,
+    zero_socle_split,
 )
 
 
@@ -135,400 +125,7 @@ class _NotApplicable(Exception):
     """Raised by a check whose hypotheses fail; the message is the reason."""
 
 
-_MIRROR_KIND = {
-    IdentityKind.RIGHT_COMMUTATIVE: IdentityKind.LEFT_COMMUTATIVE,
-    IdentityKind.LEFT_COMMUTATIVE: IdentityKind.RIGHT_COMMUTATIVE,
-    IdentityKind.LEFT_SYMMETRIC: IdentityKind.RIGHT_SYMMETRIC,
-    IdentityKind.RIGHT_SYMMETRIC: IdentityKind.LEFT_SYMMETRIC,
-    IdentityKind.NOVIKOV_LEFT: IdentityKind.NOVIKOV_RIGHT,
-    IdentityKind.NOVIKOV_RIGHT: IdentityKind.NOVIKOV_LEFT,
-    IdentityKind.BICOMMUTATIVE: IdentityKind.BICOMMUTATIVE,
-    IdentityKind.ASSOSYMMETRIC: IdentityKind.ASSOSYMMETRIC,
-    IdentityKind.ASSOCIATIVE: IdentityKind.ASSOCIATIVE,
-    IdentityKind.COMMUTATIVE: IdentityKind.COMMUTATIVE,
-}
-
 _NOVIKOV = (IdentityKind.NOVIKOV_LEFT, IdentityKind.NOVIKOV_RIGHT)
-
-_SAMPLE_SEED = 0x5EED
-_SAMPLE_COUNT = 24
-
-# reversing all products swaps the two one-sided nilpotency notions
-_MIRROR_RADICAL = {
-    RadicalKind.SOLVABLE: RadicalKind.SOLVABLE,
-    RadicalKind.NIL: RadicalKind.NIL,
-    RadicalKind.RIGHT_NIL: RadicalKind.LEFT_NIL,
-    RadicalKind.LEFT_NIL: RadicalKind.RIGHT_NIL,
-}
-
-
-def _radical_key(kind):
-    """The certificate key of a radical, e.g. `radical_right_nil`."""
-    return f"radical_{kind.name.lower()}"
-
-
-class _Enumerated:
-    """F_p facts for algebras over the enumeration budget: one enumeration per
-    fact, except that the Frattini data serves both `phi` and
-    `frattini_subalgebra`.  Each method looks its enumerator up when called,
-    so a module-level name rebound by a profiler or a test wrapper is the one
-    that runs."""
-
-    def __init__(self, algebra, budget):
-        self.algebra = algebra
-        self.budget = budget
-
-    def ideals(self):
-        return enumerate_ideals(self.algebra, self.budget)
-
-    def subalgebras(self):
-        return enumerate_subalgebras(self.algebra, self.budget)
-
-    def minimal_ideals(self):
-        return enumerate_minimal_ideals(self.algebra, self.budget)
-
-    def chief_series(self):
-        return list(chief_series(self.algebra).ideals)
-
-    def maximal_subalgebras(self):
-        return enumerate_maximal_subalgebras(self.algebra, self.budget)
-
-    @functools.cached_property
-    def _frattini(self):
-        return frattini(self.algebra, self.budget)
-
-    def frattini(self):
-        return self._frattini
-
-    def first_complement(self, sub, inside=None):
-        return find_complement_subalgebra(self.algebra, sub, inside, self.budget)
-
-
-def _fp_facts(A, budget):
-    """Where facts about `A` over F_p come from.  The lattice is taken
-    wherever no per-fact enumeration could exceed `budget`, so the choice
-    never changes whether or where BudgetExceededError is raised."""
-    if (
-        count_subspaces(A.field, A.dim) <= budget.max_subspaces
-        and count_vectors(A.field, A.dim) <= budget.max_vectors
-    ):
-        return SubspaceLattice(A, budget)
-    return _Enumerated(A, budget)
-
-
-@dataclass(frozen=True)
-class _Fact:
-    """A certifiable fact: one subspace or a list of them, the words reports
-    use for it, and `compute(facts)` over F_p from a SubspaceLattice or
-    _Enumerated (None for facts that are only ever read from a certificate)."""
-
-    single: bool
-    what: str
-    compute: object = None
-
-
-# Every certifiable fact, by certificate key.  The verifier, fixture validation
-# and the file format all read this table.  The radical lambdas look their
-# enumerator up when called, as _Enumerated does.
-CERTIFIED_FACTS = {
-    **{
-        _radical_key(kind): _Fact(
-            True,
-            f"{kind.value} radical",
-            lambda facts, kind=kind: enumerate_radical(facts.algebra, kind, facts.budget),
-        )
-        for kind in RadicalKind
-    },
-    "phi": _Fact(True, "Frattini ideal", lambda facts: facts.frattini().ideal),
-    "frattini_subalgebra": _Fact(
-        True, "Frattini subalgebra", lambda facts: facts.frattini().subalgebra
-    ),
-    "zero_socle_complement": _Fact(True, "complement to the zero socle"),
-    "square_complement": _Fact(True, "complement to the square"),
-    "semisimple_part": _Fact(True, "semisimple part of the complement"),
-    "radical_complement": _Fact(True, "complement to the radical"),
-    "maximal_subalgebras": _Fact(
-        False, "maximal subalgebra list", lambda facts: facts.maximal_subalgebras()
-    ),
-    "minimal_ideals": _Fact(False, "minimal ideal list", lambda facts: facts.minimal_ideals()),
-    "ideals": _Fact(False, "ideal list", lambda facts: facts.ideals()),
-    "subalgebras": _Fact(False, "subalgebra list", lambda facts: facts.subalgebras()),
-    "chief_series": _Fact(False, "chief series", lambda facts: facts.chief_series()),
-    "simple_summands": _Fact(False, "simple summands"),
-}
-CERTIFIED_SUBSPACE_KEYS = tuple(key for key, fact in CERTIFIED_FACTS.items() if fact.single)
-CERTIFIED_SUBSPACE_LIST_KEYS = tuple(
-    key for key, fact in CERTIFIED_FACTS.items() if not fact.single
-)
-CERTIFIED_KEYS = ("identities",) + CERTIFIED_SUBSPACE_KEYS + CERTIFIED_SUBSPACE_LIST_KEYS
-
-
-def _coerce_subspace(field, ambient, value):
-    if isinstance(value, Subspace):
-        if value.field != field or value.ambient != ambient:
-            raise UsageError("certified subspace does not match the algebra")
-        return value
-    vectors = [tuple(field.coerce(c) for c in row) for row in value]
-    return span(field, ambient, vectors)
-
-
-def _coerce_certified(field, ambient, key, value):
-    """A certificate's entry for `key`, read as the fact's declared shape."""
-    if CERTIFIED_FACTS[key].single:
-        return _coerce_subspace(field, ambient, value)
-    return [_coerce_subspace(field, ambient, v) for v in value]
-
-
-class Analyzer:
-    """Cached computations over one algebra, with certified-data fallback over Q.
-
-    Every use of a certified value appends a note to the current check's
-    `assumed` list, so reports always show what was trusted versus computed.
-    """
-
-    def __init__(self, algebra, certified=None, budget=DEFAULT_BUDGET, _parent=None):
-        self.algebra = algebra
-        self.certified = dict(certified) if certified else {}
-        for key in self.certified:
-            if key not in CERTIFIED_KEYS:
-                raise UsageError(f"unknown certified key: {key!r}")
-        self.budget = budget
-        self._cache = {}
-        self._mirror_of = _parent
-        if _parent is None:
-            self._assumed = []
-            self._notes = []
-            # two-sided facts (ideals, radicals, Frattini data, products)
-            # are shared with the mirrored view through the base analyzer
-            self._shared_cache = {}
-        else:
-            self._assumed = _parent._assumed
-            self._notes = _parent._notes
-            self._shared_cache = _parent._shared_cache
-        self._mirror = None
-
-    # -- per-check bookkeeping ------------------------------------------------
-
-    def begin_check(self):
-        self._assumed.clear()
-        self._notes.clear()
-
-    def assume(self, text):
-        if text not in self._assumed:
-            self._assumed.append(text)
-
-    def note(self, text):
-        if text not in self._notes:
-            self._notes.append(text)
-
-    def snapshot(self):
-        return tuple(self._assumed), tuple(self._notes)
-
-    # -- mirrored view --------------------------------------------------------
-
-    def mirrored(self):
-        """The same algebra with all products reversed, sharing certificates.
-
-        Two-sided notions (ideals, radicals, Frattini data, socles, chief
-        series) are identical for an algebra and its opposite, so certified
-        subspaces carry over; identity claims swap left/right kinds.
-        """
-        if self._mirror_of is not None:
-            return self._mirror_of
-        if self._mirror is None:
-            cert = dict(self.certified)
-            if "identities" in cert:
-                cert["identities"] = {
-                    _MIRROR_KIND[IdentityKind(k)].value: v
-                    for k, v in cert["identities"].items()
-                }
-            self._mirror = Analyzer(
-                opposite(self.algebra),
-                cert,
-                self.budget,
-                _parent=self,
-            )
-        return self._mirror
-
-    # -- computed facts -------------------------------------------------------
-
-    def identity(self, kind):
-        kind = IdentityKind(kind)
-        cert = self.certified.get("identities")
-        if cert is not None and kind.value in cert:
-            self.assume(f"identity '{kind.value}' taken from certificate")
-            return bool(cert[kind.value])
-        key = ("identity", kind)
-        if key not in self._cache:
-            self._cache[key] = check_identity(self.algebra, kind)
-        return self._cache[key]
-
-    def profile(self, start=None):
-        key = ("profile", start)
-        if key not in self._cache:
-            self._cache[key] = nilpotency_profile(self.algebra, start)
-        return self._cache[key]
-
-    def square(self):
-        full = self.algebra.full_space()
-        return self.prod(full, full)
-
-    def prod(self, x, y):
-        # the span of pairwise products does not depend on orientation once
-        # the factors are swapped, so cache under the base orientation
-        key = ("prod", y, x) if self._mirror_of is not None else ("prod", x, y)
-        cache = self._shared_cache
-        if key not in cache:
-            cache[key] = subspace_product(self.algebra, x, y)
-        return cache[key]
-
-    # -- ingredients: enumerated over finite fields, certified over Q ---------
-
-    def _ingredient(self, cache_key, coerce=None):
-        """Look up a fact about the algebra, computing or trusting as needed.
-
-        `cache_key` names the fact in CERTIFIED_FACTS and in a certificate,
-        whose entry is read as the fact's declared shape and then passed
-        through `coerce`, if given.  Facts handled here are two-sided
-        (unchanged by reversing products), so they are computed on the base
-        orientation's algebra, and its cache and certificate dictionary serve
-        the mirrored view as well; callers translate orientation-sensitive
-        keys (the one-sided radicals) before calling.
-        """
-        base = self._mirror_of if self._mirror_of is not None else self
-        cache = base._shared_cache
-        if cache_key in cache:
-            value, certified, notes = cache[cache_key]
-            if certified:
-                self._trust(cache_key)
-            for text in notes:
-                self.note(text)
-            return value
-        fact = CERTIFIED_FACTS[cache_key]
-        if self.algebra.field.is_finite:
-            try:
-                value = fact.compute(self.fp_facts())
-            except BudgetExceededError as e:
-                raise _NotApplicable(f"budget exceeded while computing {fact.what}: {e}")
-            cache[cache_key] = (value, False, ())
-            return value
-        if cache_key not in base.certified:
-            raise _NotApplicable(f"requires a finite field (no certified {fact.what})")
-        mark = len(self._notes)
-        value = self.certified_subspace(cache_key)
-        if coerce is not None:
-            value = coerce(value)
-        cache[cache_key] = (value, True, tuple(self._notes[mark:]))
-        return value
-
-    def fp_facts(self):
-        """The source of F_p facts for the base orientation's algebra, chosen
-        and made on first need and shared with the mirrored view: ideals and
-        subalgebras are two-sided."""
-        cache = self._shared_cache
-        if "fp_facts" not in cache:
-            base = self._mirror_of if self._mirror_of is not None else self
-            cache["fp_facts"] = _fp_facts(base.algebra, self.budget)
-        return cache["fp_facts"]
-
-    def radical(self, kind):
-        kind = RadicalKind(kind)
-        if self._mirror_of is not None:
-            kind = _MIRROR_RADICAL[kind]
-        return self._ingredient(_radical_key(kind))
-
-    def phi(self):
-        return self._ingredient("phi")
-
-    def frattini_subalgebra(self):
-        return self._ingredient("frattini_subalgebra")
-
-    def ideals(self):
-        A = self.algebra
-
-        def coerce(out):
-            for extra in (A.zero_space(), A.full_space()):
-                if extra not in out:
-                    out.append(extra)
-            out.sort(key=Subspace.sort_key)
-            return out
-
-        return self._ingredient("ideals", coerce)
-
-    def minimal_ideals(self):
-        return self._ingredient("minimal_ideals")
-
-    def subalgebras(self):
-        def coerce(out):
-            self.note("subalgebra quantification sampled from certificate")
-            return out
-
-        return self._ingredient("subalgebras", coerce)
-
-    def maximal_subalgebras(self):
-        return self._ingredient("maximal_subalgebras")
-
-    def chief_series_ideals(self):
-        return self._ingredient("chief_series")
-
-    def socle(self):
-        ech = Echelon(self.algebra.field, self.algebra.dim)
-        for b in self.minimal_ideals():
-            ech.add_subspace(b)
-        return ech.subspace()
-
-    def zero_socle(self):
-        ech = Echelon(self.algebra.field, self.algebra.dim)
-        for b in self.minimal_ideals():
-            if self.prod(b, b).is_zero():
-                ech.add_subspace(b)
-        return ech.subspace()
-
-    def certified_subspace(self, key):
-        """The certificate's entry for `key`, read as the fact's declared shape."""
-        _require(key in self.certified, f"requires a certified {CERTIFIED_FACTS[key].what}")
-        value = _coerce_certified(self.algebra.field, self.algebra.dim, key, self.certified[key])
-        self._trust(key)
-        return value
-
-    def _trust(self, key):
-        self.assume(f"{CERTIFIED_FACTS[key].what} taken from certificate")
-
-    # -- element streams ------------------------------------------------------
-
-    def element_stream(self, sub=None):
-        """Vectors to quantify over: exhaustive up to scalar (finite) or sampled (Q)."""
-        A = self.algebra
-        field = A.field
-        if sub is None:
-            sub = A.full_space()
-        if sub.is_zero():
-            return []
-        if field.is_finite:
-            try:
-                coeff_tuples = list(iter_projective_vectors(field, sub.dim, self.budget))
-            except BudgetExceededError as e:
-                raise _NotApplicable(f"budget exceeded while enumerating elements: {e}")
-        else:
-            self.note("element quantification sampled over the rationals")
-            rng = random.Random(_SAMPLE_SEED + sub.dim)
-            pool = [field.parse(s) for s in ("-2", "-1", "1", "2", "3")]
-            coeff_tuples = [
-                tuple(field.one if i == j else field.zero for j in range(sub.dim))
-                for i in range(sub.dim)
-            ]
-            for _ in range(_SAMPLE_COUNT):
-                coeff_tuples.append(tuple(rng.choice(pool) for _ in range(sub.dim)))
-        out = []
-        for coeffs in coeff_tuples:
-            vec = [field.zero] * A.dim
-            for c, row in zip(coeffs, sub.basis):
-                if c != field.zero:
-                    for i, r in enumerate(row):
-                        if r != field.zero:
-                            vec[i] = field.add(vec[i], field.mul(c, r))
-            out.append(tuple(vec))
-        return out
 
 
 def _require(condition, reason):
@@ -590,39 +187,6 @@ def _commutative_orientations(z):
         z.identity(IdentityKind.LEFT_COMMUTATIVE),
         "requires a right or left commutative algebra",
     )
-
-
-def _complement(z, sub, key, inside=None):
-    """A subalgebra complement to `sub` (within `inside`, default the whole
-    algebra): the first one found over F_p, None if there is none; over Q the
-    certified one."""
-    if z.algebra.field.is_finite:
-        return z.fp_facts().first_complement(sub, inside)
-    return z.certified_subspace(key)
-
-
-def _is_complement(A, comp, sub, whole):
-    """Is `comp` a subalgebra with comp & sub = 0 and comp + sub = whole?"""
-    return (
-        comp is not None
-        and is_subalgebra(A, comp)
-        and subspace_intersect(comp, sub).is_zero()
-        and subspace_sum(comp, sub) == whole
-    )
-
-
-def _simplicity_failure(z, m):
-    """Counterexample entries showing the ideal `m` is not simple, or None.
-
-    Decided over F_p; over Q only m*m = m is tested and simplicity assumed.
-    """
-    if z.algebra.field.is_finite:
-        bad = simple_ideal_failure(z.algebra, m, z.budget)
-        return None if bad is None else {"detail": bad}
-    if z.prod(m, m) != m:
-        return {"summand": m}
-    z.assume("simplicity of certified minimal ideals not re-verified over Q")
-    return None
 
 
 def _identity_counterexample(algebra, kind, problem, indices_key="basis_indices", **extra):
@@ -757,28 +321,6 @@ def check_phi_eq_asq_nilpotent(z):
     )
 
 
-def _has_natural_identity(z):
-    return any(z.identity(k) for k in NATURAL_CLASSES)
-
-
-def _require_ideal_products(z):
-    """Gate on the ideal-product hypothesis (products of ideals are ideals)."""
-    if _has_natural_identity(z):
-        return
-    if z.algebra.field.is_finite:
-        for left, right in itertools.product(z.ideals(), repeat=2):
-            if not is_ideal(z.algebra, z.prod(left, right)):
-                raise _NotApplicable(
-                    "products of ideals are not all ideals, so the hypothesis fails"
-                )
-        z.note("ideal-product hypothesis verified by enumeration")
-        return
-    raise _NotApplicable(
-        "requires a natural identity class or a finite field to test the "
-        "ideal-product hypothesis"
-    )
-
-
 @_check(CheckId.WEAKLY_NILPOTENT_IMPLIES_NILPOTENT, "weakly nilpotent implies nilpotent, with 1-dimensional chief factors")
 def check_weakly_nilpotent_implies_nilpotent(z):
     prof = z.profile()
@@ -787,7 +329,7 @@ def check_weakly_nilpotent_implies_nilpotent(z):
         "requires a weakly nilpotent algebra",
     )
     A = z.algebra
-    _require_ideal_products(z)
+    require_ideal_products(z)
     if not prof.nilpotent:
         return _fails(
             {
@@ -817,7 +359,7 @@ def check_weakly_nilpotent_implies_nilpotent(z):
 
 @_check(CheckId.CHIEF_FACTOR_ANNIHILATED, "chief factors are annihilated by the one-sided nilradicals")
 def check_chief_factor_annihilated(z):
-    _require(_has_natural_identity(z), "requires a natural identity class")
+    _require(has_natural_identity(z), "requires a natural identity class")
     right_nil = z.radical(RadicalKind.RIGHT_NIL)
     left_nil = z.radical(RadicalKind.LEFT_NIL)
     chain = z.chief_series_ideals()
@@ -1099,7 +641,7 @@ def check_minimal_ideal_zero_or_simple(z):
                     "square": square,
                 }
             )
-        bad = _simplicity_failure(z, b)
+        bad = simplicity_failure(z, b)
         if bad:
             return _fails(
                 {
@@ -1132,7 +674,7 @@ def check_ss_ideals_in_asq(z):
                 }
             )
         for m in parts:
-            bad = _simplicity_failure(z, m)
+            bad = simplicity_failure(z, m)
             if bad:
                 return _fails(
                     {
@@ -1146,56 +688,9 @@ def check_ss_ideals_in_asq(z):
 
 @_check(CheckId.BISS_DECOMPOSITION, "semisimple bicommutative splits as simples plus a square-zero complement")
 def check_biss_decomposition(z):
-    _require(z.identity(IdentityKind.BICOMMUTATIVE), "requires a bicommutative algebra")
-    rad = z.radical(RadicalKind.SOLVABLE)
-    _require(rad.is_zero(), "requires a semisimple algebra")
-    A = z.algebra
-    square = z.square()
-    simples = [m for m in z.minimal_ideals() if square.contains_subspace(m)]
-    if not direct_sum_equals(A.field, A.dim, simples, square):
-        return _fails(
-            {
-                "problem": "minimal ideals inside the square do not sum directly to it",
-                "square": square,
-                "simples": simples,
-            }
-        )
-    for s in simples:
-        bad = _simplicity_failure(z, s)
-        if bad:
-            return _fails({"problem": "summand is not simple", **bad})
-    comp = _complement(z, square, "square_complement")
-    if comp is None:
-        return _fails({"problem": "no subalgebra complement to the square", "square": square})
-    if not _is_complement(A, comp, square, A.full_space()):
-        return _fails(
-            {
-                "problem": "supplied complement is not a complement subalgebra",
-                "complement": comp,
-            }
-        )
-    if not z.prod(comp, comp).is_zero():
-        return _fails(
-            {"problem": "complement does not square to zero", "complement": comp}
-        )
-    pattern = []
-    for s in simples:
-        sides = action_sides(A, s, comp)
-        if not (sides[0] or sides[1]):
-            return _fails(
-                {
-                    "problem": "simple summand and complement multiply nontrivially both ways",
-                    "simple": s,
-                    "complement": comp,
-                }
-            )
-        pattern.append(sides)
+    dec = semisimple_decomposition(z)
     return _holds(
-        {
-            "simples": simples,
-            "complement": comp,
-            "action_pattern": tuple(pattern),
-        }
+        {"simples": dec.simples, "complement": dec.complement, "action_pattern": dec.action_pattern}
     )
 
 
@@ -1327,48 +822,17 @@ def check_novikov_ann_subalgebras(z):
 @_check(CheckId.SPLIT_IFF_PHI_FREE, "phi-free if and only if the algebra splits over its zero socle")
 def check_split_iff_phi_free(z):
     phi = z.phi()
-    _require(
-        z.profile(phi).nilpotent,
-        "requires a nilpotent Frattini ideal",
-    )
-    A = z.algebra
-    zsoc = z.zero_socle()
-    if phi.is_zero():
-        comp = _complement(z, zsoc, "zero_socle_complement")
-        if not _is_complement(A, comp, zsoc, A.full_space()):
-            return _fails(
-                {
-                    "problem": "phi-free algebra does not split over its zero socle",
-                    "zero_socle": zsoc,
-                    "complement": comp,
-                }
-            )
-        return _holds({"zero_socle": zsoc, "complement": comp, "phi_free": True})
-    # The reverse direction (a split forces phi = 0) relies on minimal ideals
-    # inside the nilpotent Frattini ideal being zero ideals, which needs
-    # products of ideals to be ideals.
-    _require_ideal_products(z)
-    _require(
-        A.field.is_finite,
-        "requires a finite field to verify that no split exists",
-    )
-    comp = z.fp_facts().first_complement(zsoc)
-    if comp is not None:
-        return _fails(
-            {
-                "problem": "algebra with nonzero Frattini ideal splits over its zero socle",
-                "phi": phi,
-                "zero_socle": zsoc,
-                "complement": comp,
-            }
-        )
-    return _holds({"zero_socle": zsoc, "phi": phi, "phi_free": False})
+    _require(z.profile(phi).nilpotent, "requires a nilpotent Frattini ideal")
+    zsoc, comp = zero_socle_split(z, phi)
+    if comp is None:
+        return _holds({"zero_socle": zsoc, "phi": phi, "phi_free": False})
+    return _holds({"zero_socle": zsoc, "complement": comp, "phi_free": True})
 
 
 @_check(CheckId.T_SOCLE_EQUALITIES, "phi-free: zero socle = nilradical = annihilator of the socle")
 def check_t_socle_equalities(z):
     _require(
-        _has_natural_identity(z),
+        has_natural_identity(z),
         "requires a bicommutative, assosymmetric or Novikov algebra",
     )
     phi = z.phi()
@@ -1391,153 +855,32 @@ def check_t_socle_equalities(z):
 @_check(CheckId.BIPHIFREE_STRUCTURE, "phi-free bicommutative structure decomposition")
 def check_biphifree_structure(z):
     _require(z.identity(IdentityKind.BICOMMUTATIVE), "requires a bicommutative algebra")
-    A = z.algebra
     phi = z.phi()
-    rad = z.radical(RadicalKind.SOLVABLE)
-    zsoc = z.zero_socle()
-    if not phi.is_zero():
-        _require(
-            A.field.is_finite,
-            "requires a finite field to verify that no split exists",
-        )
-        comp = z.fp_facts().first_complement(zsoc)
-        if comp is not None:
-            return _fails(
-                {
-                    "problem": "algebra with nonzero Frattini ideal splits over its zero socle",
-                    "phi": phi,
-                    "complement": comp,
-                }
-            )
+    zsoc, comp, extras = bicommutative_split(z, phi)
+    if comp is None:
         return _holds({"phi": phi, "phi_free": False})
-    comp = _complement(z, zsoc, "zero_socle_complement")
-    if not _is_complement(A, comp, zsoc, A.full_space()):
-        return _fails(
-            {
-                "problem": "no subalgebra complement to the zero socle",
-                "zero_socle": zsoc,
-                "complement": comp,
-            }
-        )
-    zero_part = subspace_intersect(comp, rad)
-    if not (
-        subspace_sum(zsoc, zero_part) == rad
-        and subspace_intersect(zsoc, zero_part).is_zero()
-    ):
-        return _fails(
-            {
-                "problem": "radical is not zero socle plus complement overlap",
-                "radical": rad,
-                "zero_socle": zsoc,
-                "overlap": zero_part,
-            }
-        )
-    if not z.prod(zero_part, zero_part).is_zero():
-        return _fails(
-            {"problem": "complement overlap does not square to zero", "overlap": zero_part}
-        )
-    semi = _complement(z, zero_part, "semisimple_part", inside=comp)
-    if not _is_complement(A, semi, zero_part, comp):
-        return _fails(
-            {
-                "problem": "complement does not split into zero part plus subalgebra",
-                "complement": comp,
-                "zero_part": zero_part,
-                "semisimple_part": semi,
-            }
-        )
-    sides = action_sides(A, zero_part, semi)
-    if not (sides[0] and sides[1]):
-        return _fails(
-            {
-                "problem": "zero part and semisimple part do not annihilate each other",
-                "zero_part": zero_part,
-                "semisimple_part": semi,
-            }
-        )
-    square = z.prod(semi, semi)
     witness = {
         "zero_socle": zsoc,
         "complement": comp,
-        "zero_part": zero_part,
-        "semisimple_part": semi,
-        "semisimple_square": square,
+        "zero_part": extras.zero_part,
+        "semisimple_part": extras.semisimple_part,
+        "semisimple_square": extras.square,
+        "socle_killing_radical": extras.socle_killing_radical,
+        "radical_killing_socle": extras.radical_killing_socle,
     }
-    if A.field.is_finite:
-        semi_alg, emb = restrict(A, semi)
-        try:
-            dec = decompose_semisimple_bicommutative(semi_alg, z.budget)
-        except (PreconditionError, TheoremViolationError) as e:
-            return _fails(
-                {
-                    "problem": "semisimple part does not decompose",
-                    "semisimple_part": semi,
-                    "detail": str(e),
-                }
-            )
-        simples = [lift_subspace(A.field, A.dim, emb, s) for s in dec.simples]
-        for s in simples:
-            s_alg, _ = restrict(A, s)
-            if not (
-                check_identity(s_alg, IdentityKind.COMMUTATIVE)
-                and check_identity(s_alg, IdentityKind.ASSOCIATIVE)
-            ):
-                return _fails(
-                    {
-                        "problem": "simple summand is not commutative associative",
-                        "simple": s,
-                    }
-                )
-        witness["simples"] = simples
-        witness["simple_complement"] = lift_subspace(A.field, A.dim, emb, dec.complement)
-    else:
-        z.note("fine structure of the semisimple part skipped over the rationals")
-    zero_ideals = [b for b in z.minimal_ideals() if z.prod(b, b).is_zero()]
-    z_left, z_right, bad = split_zero_socle_by_radical(A, zero_ideals, rad)
-    if bad is not None:
-        return _fails(
-            {"problem": "minimal zero ideal annihilated on neither side", **bad}
-        )
-    if not direct_sum_equals(A.field, A.dim, [z_left, z_right], zsoc):
-        return _fails(
-            {
-                "problem": "zero socle is not the direct sum of its annihilation parts",
-                "left_part": z_left,
-                "right_part": z_right,
-            }
-        )
-    witness["socle_killing_radical"] = z_left
-    witness["radical_killing_socle"] = z_right
+    if extras.simples is not None:
+        witness["simples"] = extras.simples
+        witness["simple_complement"] = extras.simple_complement
     return _holds(witness)
 
 
 @_check(CheckId.PHIFREE_NOVIKOV, "phi-free Novikov: the algebra annihilates the complement-radical overlap")
 def check_phifree_novikov(z):
     view = _novikov_view(z)
-    A = view.algebra
     phi = view.phi()
     _require(phi.is_zero(), "requires a phi-free algebra")
-    zsoc = view.zero_socle()
-    comp = _complement(view, zsoc, "zero_socle_complement")
-    if not _is_complement(A, comp, zsoc, A.full_space()):
-        return _fails(
-            {
-                "problem": "phi-free algebra does not split over its zero socle",
-                "zero_socle": zsoc,
-                "complement": comp,
-            }
-        )
-    rad = view.radical(RadicalKind.SOLVABLE)
-    overlap = subspace_intersect(comp, rad)
-    product = view.prod(A.full_space(), overlap)
-    if not product.is_zero():
-        return _fails(
-            {
-                "problem": "algebra does not annihilate the complement-radical overlap",
-                "overlap": overlap,
-                "product": product,
-            }
-        )
+    zsoc, comp = zero_socle_split(view, phi)
+    overlap = novikov_refinement(view, comp).overlap
     return _holds({"zero_socle": zsoc, "complement": comp, "overlap": overlap})
 
 
@@ -1589,7 +932,7 @@ def check_char0_novikov_split(z):
         z.note("non-split direction settled via the radical square")
         return _holds({"phi": phi, "radical_square": rad_sq})
     comp = view.certified_subspace("radical_complement")
-    if not _is_complement(A, comp, rad, A.full_space()):
+    if not is_complement(A, comp, rad, A.full_space()):
         return _fails(
             {
                 "problem": "supplied complement to the radical is not a complement subalgebra",
@@ -1765,6 +1108,8 @@ def _run_check(analyzer, check):
     reason = None
     try:
         holds, witness, counterexample = _CHECK_FUNCS[check](analyzer)
+    except TheoremViolationError as e:
+        holds, witness, counterexample = _fails({"problem": str(e), **e.details})
     except (_NotApplicable, UnsupportedOperationError, PreconditionError) as e:
         holds = witness = counterexample = None
         reason = str(e)

@@ -11,7 +11,6 @@ from nonassoc.algebra import (
     Algebra,
     IdentityKind,
     annihilator,
-    associator,
     check_identity,
     direct_sum,
     first_identity_failure,
@@ -67,17 +66,6 @@ def test_from_products_rejects_bad_indices():
         make(GF(2), 2, {(0, 2): {0: 1}})
     with pytest.raises(UsageError):
         make(GF(2), 2, {(0, 0): {5: 1}})
-
-
-def test_element_wrapper_arithmetic():
-    A = a_ex(QQ)
-    x, y = A.basis_element(0), A.basis_element(1)
-    assert (x + y) * x == x
-    assert (x * (x - y)).coords == (0, 0)
-    assert (Fraction(2) * y).coords == (0, 2)
-    assert -x == x.scale(-1)
-    # (x*y)*x - x*(y*x) = x*x - 0 = x.
-    assert associator(x, y, x).coords == (1, 0)
 
 
 def test_labels_render():

@@ -305,6 +305,15 @@ def test_budget_flags(run, emit):
     assert code == 2
 
 
+def test_chief_series_honours_the_vector_budget(run, emit):
+    path = emit("tpoly3_f2")
+    code, _, err = run("chief-series", path, "--budget-vectors", "2")
+    assert code == 3
+    assert "unsupported: 8 vectors exceed the budget of 2" in err
+    code, out, _ = run("chief-series", path, "--budget-vectors", "8")
+    assert code == 0 and "factor dims: 1, 1, 1" in out
+
+
 def test_file_errors(run, tmp_path):
     code, _, err = run("info", str(tmp_path / "missing.json"))
     assert code == 2

@@ -2,10 +2,10 @@
 
 `verify_all` reads ideals, subalgebras, minimal ideals, chief series, maximal
 subalgebras, Frattini data and first complements off one `SubspaceLattice`
-for algebras over F_p within the enumeration budget.  The enumerators in `enumeration`, `series` and
-`structure` stay the oracle: on both F_2 pools of the soundness gate, on every
-finite fixture and on seeded F_3 pool members, every fact must be equal,
-order included.  Under tiny budgets, where the lattice is taken only at the
+for algebras over F_p within the enumeration budget.  The enumerators in
+`enumeration` and `series` stay the oracle: on both F_2 pools of the
+soundness gate, on every finite fixture and on seeded F_3 pool members,
+every fact must be equal, order included.  Under tiny budgets, where the lattice is taken only at the
 edge of what the budget allows, reports must equal those with it turned off.
 
 The comparison over the whole F_3 pool (59,847 members) is too slow for the
@@ -15,17 +15,18 @@ default run; run it with
 from __future__ import annotations
 
 import functools
-import importlib
 import random
 import sys
 
 import pytest
 
+from nonassoc import analyzer
 from nonassoc.algebra import Algebra, classify, subspace_product
 from nonassoc.corpus import builtin_fixtures, exhaustive_algebras
 from nonassoc.enumeration import (
     EnumerationBudget,
     SubspaceLattice,
+    find_complement_subalgebra,
     frattini,
     ideals,
     maximal_subalgebras,
@@ -35,11 +36,7 @@ from nonassoc.enumeration import (
 from nonassoc.fields import GF
 from nonassoc.linalg import Echelon, subspace_intersect
 from nonassoc.series import chief_series
-from nonassoc.structure import find_complement_subalgebra
 from nonassoc.verify import verify_all
-
-# the package attribute `nonassoc.verify` is the function, not the module
-verify_module = importlib.import_module("nonassoc.verify")
 
 F3_SAMPLE = 300
 F3_SEED = 20261019
@@ -130,9 +127,9 @@ def test_tiny_budgets_report_as_without_the_lattice(monkeypatch):
         for A, cert in cases:
             with_lattice = verify_all(A, certified=cert, budget=budget)
             if A.field.is_finite:
-                used += isinstance(verify_module._fp_facts(A, budget), SubspaceLattice)
+                used += isinstance(analyzer._fp_facts(A, budget), SubspaceLattice)
             monkeypatch.setattr(
-                verify_module, "_fp_facts", lambda A, budget: verify_module._Enumerated(A, budget)
+                analyzer, "_fp_facts", lambda A, budget: analyzer._Enumerated(A, budget)
             )
             assert verify_all(A, certified=cert, budget=budget) == with_lattice, (A.table, budget)
             monkeypatch.undo()
@@ -141,10 +138,8 @@ def test_tiny_budgets_report_as_without_the_lattice(monkeypatch):
 
 
 def test_lattice_is_built_once_and_shared_with_the_mirror():
-    from nonassoc.verify import Analyzer
-
     A = _f3_members(1, F3_SEED)[0]
-    z = Analyzer(A)
+    z = analyzer.Analyzer(A)
     assert isinstance(z.fp_facts(), SubspaceLattice)
     assert z.mirrored().fp_facts() is z.fp_facts()
 

@@ -11,12 +11,14 @@ from nonassoc.enumeration import EnumerationBudget
 from nonassoc.errors import BudgetExceededError
 from nonassoc.fields import GF
 from nonassoc.linalg import span
-from nonassoc.verify import (
-    _CHECK_FUNCS,
+from nonassoc.analyzer import (
     CERTIFIED_FACTS,
     CERTIFIED_KEYS,
     CERTIFIED_SUBSPACE_KEYS,
     CERTIFIED_SUBSPACE_LIST_KEYS,
+)
+from nonassoc.verify import (
+    _CHECK_FUNCS,
     CheckId,
     bracket_power_oracle,
     describe,
