@@ -305,9 +305,15 @@ def subalgebra_closure(A: Algebra, vectors) -> Subspace:
     return ech.subspace()
 
 
-def ideal_closure(A: Algebra, vectors) -> Subspace:
-    """Smallest ideal of A containing the given vectors."""
+def ideal_closure(A: Algebra, vectors, ideal: Subspace | None = None) -> Subspace:
+    """Smallest ideal of A containing the given vectors (and `ideal`).
+
+    `ideal`, when given, must already be an ideal: it seeds the span and only
+    the given vectors are spun, since products with it stay inside it.
+    """
     ech = Echelon(A.field, A.dim)
+    if ideal is not None:
+        ech.add_subspace(ideal)
     members = []
     for v in vectors:
         v = tuple(v)
@@ -422,28 +428,22 @@ def _coordinates_fn(sub: Subspace):
     return coords
 
 
-def mul_operator(A: Algebra, a, side: str) -> Matrix:
-    """Matrix of x -> x*a (side='right') or x -> a*x (side='left'); columns are basis images."""
-    a = tuple(a)
-    if side == "right":
-        images = [A.multiply(A.basis_vector(j), a) for j in range(A.dim)]
-    elif side == "left":
-        images = [A.multiply(a, A.basis_vector(j)) for j in range(A.dim)]
-    else:
-        raise UsageError("side must be 'left' or 'right'")
-    rows = [[images[j][i] for j in range(A.dim)] for i in range(A.dim)]
-    return Matrix(A.field, rows, ncols=A.dim)
-
-
 def fitting_component(A: Algebra, a, side: str) -> Subspace:
-    """Generalized null component of the one-sided multiplication by `a`."""
-    op = mul_operator(A, a, side)
-    power = op
-    for _ in range(max(A.dim - 1, 0)):
-        power = power @ op
-    if A.dim == 0:
-        return zero_subspace(A.field, 0)
-    return kernel(power)
+    """Generalized null component of x -> x*a (side='right') or x -> a*x
+    (side='left'): the kernel of its n-th power, with each basis vector pushed
+    through the map n times (or until it vanishes)."""
+    a = tuple(a)
+    if side not in ("left", "right"):
+        raise UsageError("side must be 'left' or 'right'")
+    images = []
+    for x in A.basis_vectors():
+        for _ in range(A.dim):
+            if A.is_zero_vector(x):
+                break
+            x = A.multiply(x, a) if side == "right" else A.multiply(a, x)
+        images.append(x)
+    rows = [[images[j][i] for j in range(A.dim)] for i in range(A.dim)]
+    return kernel(Matrix(A.field, rows, ncols=A.dim))
 
 
 def is_right_nil(A: Algebra, a) -> bool:

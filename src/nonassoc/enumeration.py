@@ -162,14 +162,27 @@ def iter_subspaces(
 def minimal_overideals(A: Algebra, base: Subspace, inside: Subspace, budget=DEFAULT_BUDGET):
     """Ideals C with base < C <= inside whose image in A/base is a minimal ideal.
 
+    `base` must be an ideal (`minimal_ideals` passes 0, and `chief_series`
+    starts from an ideal and adds only ideals).  The sweep walks the
+    projective points of inside/base, as combinations of the rows of
+    `inside`'s basis that lie off `base`, and spins each on top of `base`.
+    The budget is charged for all of F_q^n, whatever the window.
     Returned in ascending (dim, basis) order; the first entry is the
     deterministic tie-break used by chief series.
     """
+    field = A.field
+    _check_vector_budget(field, A.dim, budget)
+    seeded = Echelon(field, A.dim)
+    seeded.add_subspace(base)
+    rows = [row for row in inside.basis if seeded.add(row)]
+    zero, add, mul = field.zero, field.add, field.mul
     candidates = {}
-    for v in iter_projective_vectors(A.field, A.dim, budget):
-        if not inside.contains_vector(v) or base.contains_vector(v):
-            continue
-        c = ideal_closure(A, list(base.basis) + [v])
+    for point in iter_projective_vectors(field, len(rows), budget):
+        v = [zero] * A.dim
+        for coeff, row in zip(point, rows):
+            if coeff != zero:
+                v = [add(x, mul(coeff, r)) for x, r in zip(v, row)]
+        c = ideal_closure(A, [v], ideal=base)
         if inside.contains_subspace(c):
             candidates[c.basis] = c
     items = sorted(candidates.values(), key=lambda s: s.sort_key())

@@ -21,7 +21,6 @@ from nonassoc.algebra import (
     is_left_ideal,
     is_right_nil,
     is_subalgebra,
-    mul_operator,
     opposite,
     quotient,
     restrict,
@@ -150,6 +149,11 @@ def test_closures():
     A = a_ex(GF(2))
     assert ideal_closure(A, [A.basis_vector(1)]) == A.full_space()
     assert ideal_closure(A, [A.basis_vector(0)]) == span(GF(2), 2, [(1, 0)])
+    # seeded with the ideal span{t^3}, which the closure contains and does not spin
+    cube = span(GF(2), 3, [(0, 0, 1)])
+    assert ideal_closure(tp3, [], ideal=cube) == cube
+    assert ideal_closure(tp3, [t2], ideal=cube) == span(GF(2), 3, [(0, 1, 0), (0, 0, 1)])
+    assert ideal_closure(tp3, [t], ideal=cube) == tp3.full_space()
 
 
 def test_idealizer_and_annihilator():
@@ -189,17 +193,14 @@ def test_restrict_to_subalgebra():
         restrict(tp3, span(GF(2), 3, [(1, 0, 0)]))
 
 
-def test_mul_operator_and_fitting_component():
+def test_fitting_component():
     A = make(GF(2), 3, {(0, 0): {1: 1}, (2, 0): {2: 1}, (0, 1): {2: 1}})
     e1 = A.basis_vector(0)
-    op = mul_operator(A, e1, "right")
-    assert op.apply((1, 0, 0)) == (0, 1, 0)
-    assert op.apply((0, 0, 1)) == (0, 0, 1)
     comp = fitting_component(A, e1, "right")
     assert comp == span(GF(2), 3, [(1, 0, 0), (0, 1, 0)])
     assert not is_subalgebra(A, comp)
     with pytest.raises(UsageError):
-        mul_operator(A, e1, "sideways")
+        fitting_component(A, e1, "sideways")
 
 
 def test_nil_elements():
