@@ -145,18 +145,6 @@ class Algebra:
     def zero_space(self):
         return zero_subspace(self.field, self.dim)
 
-    def render_vector(self, v):
-        """Human-readable form using basis labels when present."""
-        field = self.field
-        parts = []
-        for i, x in enumerate(v):
-            if x == field.zero:
-                continue
-            name = self.labels[i] if self.labels else f"e{i}"
-            coeff = field.render(x)
-            parts.append(name if coeff == "1" else f"{coeff}*{name}")
-        return " + ".join(parts) if parts else "0"
-
     def __eq__(self, other):
         return (
             isinstance(other, Algebra)
@@ -336,27 +324,22 @@ def _quotient_coords(A, sub):
 
 def idealizer(A: Algebra, b: Subspace) -> Subspace:
     """I_A(b) = { a : a*b and b*a lie in b } - the largest subalgebra with b as an ideal."""
-    nonpivots = _quotient_coords(A, b)
+    return annihilator(A, b, modulo=b)
+
+
+def annihilator(A: Algebra, b: Subspace, modulo: Subspace | None = None) -> Subspace:
+    """Ann_A(b) = { a : a*b = b*a = 0 }, or with `modulo` a subspace M,
+    { a : a*b and b*a lie in M }.  So annihilator(A, A.full_space(), modulo=I)
+    is the preimage of Ann(A/I) for an ideal I.  One kernel either way."""
+    mod = modulo if modulo is not None else A.zero_space()
+    coords = _quotient_coords(A, mod)
     rows = []
     for x in b.basis:
         for images in (
-            [b.reduce(A.left_mul_basis(k, x)) for k in range(A.dim)],
-            [b.reduce(A.right_mul_basis(x, k)) for k in range(A.dim)],
+            [mod.reduce(A.left_mul_basis(k, x)) for k in range(A.dim)],
+            [mod.reduce(A.right_mul_basis(x, k)) for k in range(A.dim)],
         ):
-            for c in nonpivots:
-                rows.append([img[c] for img in images])
-    return kernel(Matrix(A.field, rows, ncols=A.dim))
-
-
-def annihilator(A: Algebra, b: Subspace) -> Subspace:
-    """Ann_A(b) = { a : a*b = b*a = 0 }."""
-    rows = []
-    for x in b.basis:
-        for images in (
-            [A.left_mul_basis(k, x) for k in range(A.dim)],
-            [A.right_mul_basis(x, k) for k in range(A.dim)],
-        ):
-            for c in range(A.dim):
+            for c in coords:
                 rows.append([img[c] for img in images])
     return kernel(Matrix(A.field, rows, ncols=A.dim))
 
@@ -428,22 +411,32 @@ def _coordinates_fn(sub: Subspace):
     return coords
 
 
-def fitting_component(A: Algebra, a, side: str) -> Subspace:
-    """Generalized null component of x -> x*a (side='right') or x -> a*x
-    (side='left'): the kernel of its n-th power, with each basis vector pushed
-    through the map n times (or until it vanishes)."""
+def _pushed_basis(A: Algebra, a, side: str):
+    """Each basis vector pushed through x -> x*a (side='right') or x -> a*x
+    (side='left') dim(A) times, or until it vanishes; lazily, one at a time."""
     a = tuple(a)
     if side not in ("left", "right"):
         raise UsageError("side must be 'left' or 'right'")
-    images = []
     for x in A.basis_vectors():
         for _ in range(A.dim):
             if A.is_zero_vector(x):
                 break
             x = A.multiply(x, a) if side == "right" else A.multiply(a, x)
-        images.append(x)
+        yield x
+
+
+def fitting_component(A: Algebra, a, side: str) -> Subspace:
+    """Generalized null component of x -> x*a (side='right') or x -> a*x
+    (side='left'): the kernel of its n-th power."""
+    images = list(_pushed_basis(A, a, side))
     rows = [[images[j][i] for j in range(A.dim)] for i in range(A.dim)]
     return kernel(Matrix(A.field, rows, ncols=A.dim))
+
+
+def acts_nilpotently(A: Algebra, a, side: str) -> bool:
+    """Is x -> x*a (side='right') or x -> a*x (side='left') nilpotent?  Stops
+    at the first basis vector still nonzero after dim(A) steps; no kernel."""
+    return all(A.is_zero_vector(x) for x in _pushed_basis(A, a, side))
 
 
 def is_right_nil(A: Algebra, a) -> bool:

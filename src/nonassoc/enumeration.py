@@ -14,6 +14,7 @@ from enum import Enum
 
 from .algebra import (
     Algebra,
+    annihilator,
     check_identity,
     ideal_closure,
     is_ideal,
@@ -97,12 +98,6 @@ def _check_vector_budget(field, n, budget):
     return total
 
 
-def iter_vectors(field, n: int, budget: EnumerationBudget = DEFAULT_BUDGET):
-    """All of F_q^n in lexicographic order."""
-    _check_vector_budget(field, n, budget)
-    return itertools.product(tuple(field.elements()), repeat=n)
-
-
 def iter_projective_vectors(field, n: int, budget: EnumerationBudget = DEFAULT_BUDGET):
     """One representative per line: first nonzero coordinate normalized to 1."""
     _check_vector_budget(field, n, budget)
@@ -159,29 +154,59 @@ def iter_subspaces(
         yield from level
 
 
-def minimal_overideals(A: Algebra, base: Subspace, inside: Subspace, budget=DEFAULT_BUDGET):
-    """Ideals C with base < C <= inside whose image in A/base is a minimal ideal.
-
-    `base` must be an ideal (`minimal_ideals` passes 0, and `chief_series`
-    starts from an ideal and adds only ideals).  The sweep walks the
-    projective points of inside/base, as combinations of the rows of
-    `inside`'s basis that lie off `base`, and spins each on top of `base`.
-    The budget is charged for all of F_q^n, whatever the window.
-    Returned in ascending (dim, basis) order; the first entry is the
-    deterministic tie-break used by chief series.
-    """
+def _quotient_points(A: Algebra, base: Subspace, sub: Subspace, budget):
+    """Projective points of sub/base (base <= sub), from the rows of sub off base."""
     field = A.field
-    _check_vector_budget(field, A.dim, budget)
     seeded = Echelon(field, A.dim)
     seeded.add_subspace(base)
-    rows = [row for row in inside.basis if seeded.add(row)]
+    rows = [row for row in sub.basis if seeded.add(row)]
     zero, add, mul = field.zero, field.add, field.mul
-    candidates = {}
     for point in iter_projective_vectors(field, len(rows), budget):
         v = [zero] * A.dim
         for coeff, row in zip(point, rows):
             if coeff != zero:
                 v = [add(x, mul(coeff, r)) for x, r in zip(v, row)]
+        yield v
+
+
+def _residual_ideal(A: Algebra, base: Subspace) -> Subspace:
+    """The last term of D_1 = A, D_{t+1} = A*D_t + D_t*A + base (descending)."""
+    term = A.full_space()
+    while True:
+        ech = Echelon(A.field, A.dim)
+        ech.add_subspace(base)
+        for w in term.basis:
+            for j in range(A.dim):
+                ech.add(A.left_mul_basis(j, w))
+                ech.add(A.right_mul_basis(w, j))
+        if ech.dim == term.dim:
+            return term
+        term = ech.subspace()
+
+
+def minimal_overideals(A: Algebra, base: Subspace, inside: Subspace, budget=DEFAULT_BUDGET):
+    """Ideals C with base < C <= inside whose image in A/base is a minimal ideal.
+
+    `base` must be an ideal (`minimal_ideals` passes 0, and `chief_series`
+    starts from an ideal and adds only ideals).  Let B = A/base.  For an ideal
+    I of B, BI + IB is an ideal inside I, so a minimal I has BI + IB = 0, and
+    is a line of Ann(B), or BI + IB = I, and lies in the residual ideal D/base
+    (`_residual_ideal`).  So the candidates are the lines base + <v> for the
+    points v of (Ann & inside)/base, ideals already that take no closure, and
+    the ideal closures of the points of (D & inside)/base.  Every minimal
+    overideal is one of them, and every other candidate contains one of
+    smaller dimension, which sorts first, so the filter keeps exactly the
+    minimal ones.  Ann is one kernel.  The budget is still charged for all
+    of F_q^n up front, whatever the window.  Returned in ascending (dim,
+    basis) order; the first entry is the tie-break used by chief series.
+    """
+    _check_vector_budget(A.field, A.dim, budget)
+    ann = subspace_intersect(annihilator(A, A.full_space(), modulo=base), inside)
+    candidates = {}
+    for v in _quotient_points(A, base, ann, budget):
+        c = span(A.field, A.dim, [*base.basis, v])
+        candidates[c.basis] = c
+    for v in _quotient_points(A, base, subspace_intersect(_residual_ideal(A, base), inside), budget):
         c = ideal_closure(A, [v], ideal=base)
         if inside.contains_subspace(c):
             candidates[c.basis] = c

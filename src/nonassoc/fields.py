@@ -80,11 +80,6 @@ class RationalField:
             raise ZeroDivisionError("division by zero in Q")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in Q")
-        return Fraction(a) / b
-
     def parse(self, text: str):
         # Fraction expands exponent notation, so "1e999999999" would build a
         # billion-digit integer
@@ -169,9 +164,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def parse(self, text: str):
         try:

@@ -35,6 +35,7 @@ from .linalg import Subspace, span, subspace_intersect
 from .algebra import (
     Algebra,
     IdentityKind,
+    acts_nilpotently,
     annihilator,
     check_identity,
     first_identity_failure,
@@ -488,8 +489,7 @@ def check_factor_acts_nilpotently(z):
             if not _relative_right_nilpotent(view, b, c):
                 continue
             for vec in view.element_stream(b):
-                # the operator is nilpotent iff its Fitting null component is A
-                if fitting_component(A, vec, "right").dim != A.dim:
+                if not acts_nilpotently(A, vec, "right"):
                     return _fails(
                         {
                             "problem": "element of the subideal does not act nilpotently",

@@ -1,8 +1,6 @@
 """Structure-constant algebras: products, identities, subspace operations."""
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +27,7 @@ from nonassoc.algebra import (
 )
 from nonassoc.corpus import fixture_by_name
 from nonassoc.errors import PreconditionError, UsageError
-from nonassoc.fields import GF, QQ
+from nonassoc.fields import GF
 from nonassoc.linalg import span
 
 from conftest import make
@@ -65,13 +63,6 @@ def test_from_products_rejects_bad_indices():
         make(GF(2), 2, {(0, 2): {0: 1}})
     with pytest.raises(UsageError):
         make(GF(2), 2, {(0, 0): {5: 1}})
-
-
-def test_labels_render():
-    A = a_ex(QQ)
-    assert A.render_vector((1, 0)) == "x"
-    assert A.render_vector((Fraction(-1), Fraction(2))) == "-1*x + 2*y"
-    assert A.render_vector((0, 0)) == "0"
 
 
 def test_identities_on_known_tables():

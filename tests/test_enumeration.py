@@ -16,7 +16,6 @@ from nonassoc.enumeration import (
     is_semisimple,
     iter_projective_vectors,
     iter_subspaces,
-    iter_vectors,
     maximal_subalgebras,
     minimal_ideals,
     radical,
@@ -47,9 +46,7 @@ def test_counting_helpers():
         count_vectors(QQ, 2)
 
 
-def test_iter_vectors_and_projective():
-    vecs = list(iter_vectors(GF(2), 2))
-    assert vecs == [(0, 0), (0, 1), (1, 0), (1, 1)]
+def test_iter_projective_vectors():
     proj = list(iter_projective_vectors(GF(3), 2))
     assert len(proj) == 4
     assert all(v[next(i for i, x in enumerate(v) if x)] == 1 for v in proj)
@@ -58,7 +55,7 @@ def test_iter_vectors_and_projective():
 def test_budget_enforcement():
     small = EnumerationBudget(max_vectors=5, max_subspaces=3)
     with pytest.raises(BudgetExceededError) as err:
-        list(iter_vectors(GF(2), 3, budget=small))
+        list(iter_projective_vectors(GF(2), 3, budget=small))
     assert "exceed" in str(err.value)
     with pytest.raises(BudgetExceededError):
         list(iter_subspaces(GF(2), 3, budget=small))
