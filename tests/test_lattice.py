@@ -14,15 +14,13 @@ default run; run it with
 """
 from __future__ import annotations
 
-import functools
-import random
 import sys
 
 import pytest
 
 from nonassoc import analyzer
-from nonassoc.algebra import Algebra, classify, subspace_product
-from nonassoc.corpus import builtin_fixtures, exhaustive_algebras
+from nonassoc.algebra import subspace_product
+from nonassoc.corpus import builtin_fixtures
 from nonassoc.enumeration import (
     EnumerationBudget,
     SubspaceLattice,
@@ -33,38 +31,17 @@ from nonassoc.enumeration import (
     minimal_ideals,
     subalgebras,
 )
-from nonassoc.fields import GF
 from nonassoc.linalg import Echelon, subspace_intersect
 from nonassoc.series import chief_series
 from nonassoc.verify import verify_all
+
+from conftest import f3_members as _f3_members, pool_members as _pool
 
 F3_SAMPLE = 300
 F3_SEED = 20261019
 TINY_BUDGETS = [
     EnumerationBudget(max_subspaces=s, max_vectors=v) for s in (2, 16) for v in (3, 8)
 ]
-
-
-@functools.lru_cache(maxsize=None)
-def _pool(prime, dim, sparsity):
-    """Every table of the spec that satisfies at least one identity class."""
-    return tuple(A for A in exhaustive_algebras(GF(prime), dim, sparsity) if classify(A))
-
-
-def _f3_members(count, seed):
-    """Seeded F_3 dimension-3 pool members: at most four nonzero constants."""
-    rng = random.Random(seed)
-    field = GF(3)
-    slots = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
-    members = []
-    while len(members) < count:
-        table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-        for i, j, k in rng.sample(slots, rng.randint(0, 4)):
-            table[i][j][k] = rng.randint(1, 2)
-        A = Algebra(field, 3, table)
-        if classify(A):
-            members.append(A)
-    return members
 
 
 def lattice_mismatches(A):
