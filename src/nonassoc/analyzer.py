@@ -4,10 +4,10 @@ An `Analyzer` caches what the structure checks and the decomposition
 builders ask about one algebra: identity verdicts, products, nilpotency
 profiles and the certifiable facts of `CERTIFIED_FACTS` (radicals, Frattini
 data, ideal and subalgebra lists, chief series, complements).  Over F_p every
-fact is computed, from one `SubspaceLattice` when the enumeration budget
-allows it and by the per-fact enumerators otherwise.  Over Q it is read from
-a certificate, and every use is recorded in the current `assumed` list.  A
-fact that cannot be had raises BudgetExceededError or
+fact is computed: radicals by `radical`, and the rest by one
+`SubspaceLattice` per algebra, shared with the mirrored view.  Over Q it is
+read from a certificate, and every use is recorded in the current `assumed`
+list.  A fact that cannot be had raises BudgetExceededError or
 UnsupportedOperationError, whose message says why.
 """
 
@@ -16,23 +16,15 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, UnsupportedOperationError, UsageError
-from .linalg import Echelon, Subspace, span
+from .linalg import Subspace, span
 from .algebra import IdentityKind, check_identity, opposite, subspace_product
-from .series import chief_series, nilpotency_profile
+from .series import nilpotency_profile
 from .enumeration import (
     DEFAULT_BUDGET,
     RadicalKind,
     SubspaceLattice,
-    count_subspaces,
-    count_vectors,
-    find_complement_subalgebra,
-    frattini,
-    ideals as enumerate_ideals,
     iter_projective_vectors,
-    maximal_subalgebras as enumerate_maximal_subalgebras,
-    minimal_ideals as enumerate_minimal_ideals,
     radical as enumerate_radical,
-    subalgebras as enumerate_subalgebras,
 )
 
 
@@ -66,60 +58,11 @@ def _radical_key(kind):
     return f"radical_{kind.name.lower()}"
 
 
-class _Enumerated:
-    """F_p facts for algebras over the enumeration budget: one enumeration per
-    fact, except that the Frattini data serves both `phi` and
-    `frattini_subalgebra`.  Each method looks its enumerator up when called,
-    so a module-level name rebound by a profiler or a test wrapper is the one
-    that runs."""
-
-    def __init__(self, algebra, budget):
-        self.algebra = algebra
-        self.budget = budget
-
-    def ideals(self):
-        return enumerate_ideals(self.algebra, self.budget)
-
-    def subalgebras(self):
-        return enumerate_subalgebras(self.algebra, self.budget)
-
-    def minimal_ideals(self):
-        return enumerate_minimal_ideals(self.algebra, self.budget)
-
-    def chief_series(self):
-        return list(chief_series(self.algebra, budget=self.budget).ideals)
-
-    def maximal_subalgebras(self):
-        return enumerate_maximal_subalgebras(self.algebra, self.budget)
-
-    @functools.cached_property
-    def _frattini(self):
-        return frattini(self.algebra, self.budget)
-
-    def frattini(self):
-        return self._frattini
-
-    def first_complement(self, sub, inside=None):
-        return find_complement_subalgebra(self.algebra, sub, inside, self.budget)
-
-
-def _fp_facts(A, budget):
-    """Where facts about `A` over F_p come from.  The lattice is taken
-    wherever no per-fact enumeration could exceed `budget`, so the choice
-    never changes whether or where BudgetExceededError is raised."""
-    if (
-        count_subspaces(A.field, A.dim) <= budget.max_subspaces
-        and count_vectors(A.field, A.dim) <= budget.max_vectors
-    ):
-        return SubspaceLattice(A, budget)
-    return _Enumerated(A, budget)
-
-
 @dataclass(frozen=True)
 class _Fact:
     """A certifiable fact: one subspace or a list of them, the words reports
-    use for it, and `compute(facts)` over F_p from a SubspaceLattice or
-    _Enumerated (None for facts that are only ever read from a certificate)."""
+    use for it, and `compute(facts)` over F_p from a SubspaceLattice (None
+    for facts that are only ever read from a certificate)."""
 
     single: bool
     what: str
@@ -128,7 +71,8 @@ class _Fact:
 
 # Every certifiable fact, by certificate key.  The verifier, fixture validation
 # and the file format all read this table.  The radical lambdas look their
-# enumerator up when called, as _Enumerated does.
+# enumerator up when called, so a module-level name rebound by a profiler or
+# a test wrapper is the one that runs.
 CERTIFIED_FACTS = {
     **{
         _radical_key(kind): _Fact(
@@ -325,13 +269,13 @@ class Analyzer:
         return value
 
     def fp_facts(self):
-        """The source of F_p facts for the base orientation's algebra, chosen
-        and made on first need and shared with the mirrored view: ideals and
-        subalgebras are two-sided."""
+        """The SubspaceLattice of the base orientation's algebra, made on
+        first need and shared with the mirrored view: ideals and subalgebras
+        are two-sided."""
         cache = self._shared_cache
         if "fp_facts" not in cache:
             base = self._mirror_of if self._mirror_of is not None else self
-            cache["fp_facts"] = _fp_facts(base.algebra, self.budget)
+            cache["fp_facts"] = SubspaceLattice(base.algebra, self.budget)
         return cache["fp_facts"]
 
     def radical(self, kind):
@@ -375,24 +319,20 @@ class Analyzer:
         return self._ingredient("chief_series")
 
     def socle(self):
-        ech = Echelon(self.algebra.field, self.algebra.dim)
-        for b in self.minimal_ideals():
-            ech.add_subspace(b)
-        return ech.subspace()
+        return self._sum(self.minimal_ideals())
 
     def zero_socle(self):
-        ech = Echelon(self.algebra.field, self.algebra.dim)
-        for b in self.minimal_ideals():
-            if self.prod(b, b).is_zero():
-                ech.add_subspace(b)
-        return ech.subspace()
+        return self._sum(b for b in self.minimal_ideals() if self.prod(b, b).is_zero())
+
+    def _sum(self, subspaces):
+        return span(self.algebra.field, self.algebra.dim, [v for b in subspaces for v in b.basis])
 
     def complement(self, sub, key, inside=None):
         """A subalgebra complement to `sub` (within `inside`, default the
         whole algebra): over F_p the first in canonical order, None if there
         is none; over Q the certificate's `key`."""
         if self.algebra.field.is_finite:
-            return self.fp_facts().first_complement(sub, inside)
+            return self.fp_facts().complement(sub, inside)
         return self.certified_subspace(key)
 
     def certified_subspace(self, key):

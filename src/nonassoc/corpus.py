@@ -26,14 +26,8 @@ from .algebra import (
     quotient,
     subspace_product,
 )
-from .enumeration import DEFAULT_BUDGET, RadicalKind, _qualifies
-from .analyzer import (
-    CERTIFIED_FACTS,
-    CERTIFIED_KEYS,
-    _coerce_certified,
-    _fp_facts,
-    _radical_key,
-)
+from .enumeration import DEFAULT_BUDGET, RadicalKind, SubspaceLattice, _qualifies
+from .analyzer import CERTIFIED_FACTS, CERTIFIED_KEYS, _coerce_certified, _radical_key
 
 
 @dataclass(frozen=True)
@@ -372,7 +366,7 @@ def validate_fixture(fixture, budget=DEFAULT_BUDGET):
         for key, value in cert.items()
         if key in CERTIFIED_FACTS
     }
-    facts = _fp_facts(A, budget) if A.field.is_finite else None
+    facts = SubspaceLattice(A, budget) if A.field.is_finite else None
     if facts is not None:
         for key, claimed in claims.items():
             fact = CERTIFIED_FACTS[key]
@@ -398,10 +392,7 @@ def validate_fixture(fixture, budget=DEFAULT_BUDGET):
         if not ok:
             problems.append("chief_series: not an ascending chain of ideals from 0 to A")
         else:
-            if facts is not None:
-                known = facts.ideals()
-            else:
-                known = claims.get("ideals", [])
+            known = facts.ideals() if facts is not None else claims.get("ideals", [])
             for below, above in zip(chain, chain[1:]):
                 if any(
                     w.contains_subspace(below)

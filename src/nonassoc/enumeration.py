@@ -23,8 +23,8 @@ from .algebra import (
     subspace_product,
 )
 from .errors import BudgetExceededError, PreconditionError, UnsupportedOperationError
-from .linalg import Echelon, Subspace, full_subspace, span, subspace_intersect, zero_subspace
-from .series import SeriesKind, bracket_terminates, compute_series
+from .linalg import Echelon, Matrix, Subspace, kernel, span, subspace_intersect, zero_subspace
+from .series import SeriesKind, bracket_terminates, chief_series, compute_series
 
 
 @dataclass(frozen=True)
@@ -228,55 +228,32 @@ def minimal_ideals(A: Algebra, budget: EnumerationBudget = DEFAULT_BUDGET):
 
 def socle(A: Algebra, budget: EnumerationBudget = DEFAULT_BUDGET) -> Subspace:
     """Sum of all minimal ideals."""
-    ech = Echelon(A.field, A.dim)
-    for b in minimal_ideals(A, budget):
-        ech.add_subspace(b)
-    return ech.subspace()
+    return span(A.field, A.dim, [v for b in minimal_ideals(A, budget) for v in b.basis])
 
 
 def zero_socle(A: Algebra, budget: EnumerationBudget = DEFAULT_BUDGET) -> Subspace:
     """Sum of the minimal ideals that square to zero."""
-    ech = Echelon(A.field, A.dim)
-    for b in minimal_ideals(A, budget):
-        if subspace_product(A, b, b).is_zero():
-            ech.add_subspace(b)
-    return ech.subspace()
+    zero = [b for b in minimal_ideals(A, budget) if subspace_product(A, b, b).is_zero()]
+    return span(A.field, A.dim, [v for b in zero for v in b.basis])
 
 
-def subalgebras(A: Algebra, budget: EnumerationBudget = DEFAULT_BUDGET, proper=False):
-    """All subalgebras (optionally proper only), in canonical enumeration order."""
-    _require_finite(A.field, "subalgebra enumeration")
-    out = []
-    for s in iter_subspaces(A.field, A.dim, budget=budget):
-        if proper and s.dim == A.dim:
-            continue
-        if is_subalgebra(A, s):
-            out.append(s)
-    return out
+def subalgebras(A: Algebra, budget: EnumerationBudget = DEFAULT_BUDGET):
+    """All subalgebras, in canonical enumeration order."""
+    return SubspaceLattice(A, budget).subalgebras()
 
 
 def ideals(A: Algebra, budget: EnumerationBudget = DEFAULT_BUDGET):
     """All ideals, in canonical enumeration order."""
-    _require_finite(A.field, "ideal enumeration")
-    return [s for s in iter_subspaces(A.field, A.dim, budget=budget) if is_ideal(A, s)]
+    return SubspaceLattice(A, budget).ideals()
 
 
 def maximal_subalgebras(A: Algebra, budget: EnumerationBudget = DEFAULT_BUDGET):
     """Proper subalgebras maximal under inclusion, canonically ordered."""
-    subs = subalgebras(A, budget, proper=True)
-    subs.sort(key=lambda s: (-s.dim, s.basis))
-    maximal = []
-    for s in subs:
-        if not any(m.contains_subspace(s) for m in maximal):
-            maximal.append(s)
-    maximal.sort(key=lambda s: s.sort_key())
-    return maximal
+    return SubspaceLattice(A, budget).maximal_subalgebras()
 
 
 def ideal_core(A: Algebra, sub: Subspace) -> Subspace:
     """Largest ideal of A contained in the subspace `sub`."""
-    from .linalg import Matrix, kernel
-
     current = sub
     while True:
         if current.is_zero():
@@ -293,17 +270,9 @@ def ideal_core(A: Algebra, sub: Subspace) -> Subspace:
         coeffs = kernel(Matrix(A.field, rows, ncols=k))
         if coeffs.dim == k:
             return current
-        field = A.field
-        new_basis = []
-        for t in coeffs.basis:
-            vec = [field.zero] * A.dim
-            for coeff, b in zip(t, current.basis):
-                if coeff != field.zero:
-                    for idx, x in enumerate(b):
-                        if x != field.zero:
-                            vec[idx] = field.add(vec[idx], field.mul(coeff, x))
-            new_basis.append(vec)
-        current = span(field, A.dim, new_basis)
+        # the columns of `combine` are the basis of `current`
+        combine = Matrix(A.field, list(zip(*current.basis)))
+        current = span(A.field, A.dim, [combine.apply(t) for t in coeffs.basis])
 
 
 @dataclass(frozen=True)
@@ -316,12 +285,7 @@ class FrattiniData:
 
 def frattini(A: Algebra, budget: EnumerationBudget = DEFAULT_BUDGET) -> FrattiniData:
     """Frattini subalgebra and Frattini ideal (the whole space when dim 0)."""
-    f = full_subspace(A.field, A.dim)
-    for m in maximal_subalgebras(A, budget):
-        f = subspace_intersect(f, m)
-        if f.is_zero():
-            break
-    return FrattiniData(f, ideal_core(A, f))
+    return SubspaceLattice(A, budget).frattini()
 
 
 def find_complement_subalgebra(A, sub, inside=None, budget=DEFAULT_BUDGET):
@@ -330,30 +294,30 @@ def find_complement_subalgebra(A, sub, inside=None, budget=DEFAULT_BUDGET):
     `inside` defaults to the whole algebra.  Returns None when the exhaustive
     search finds nothing.
     """
-    target = inside if inside is not None else A.full_space()
-    if not target.contains_subspace(sub):
-        raise PreconditionError("containment", "complement target must contain the subspace")
-    k = target.dim - sub.dim
-    for w in iter_subspaces(A.field, A.dim, dim=k, budget=budget):
-        if inside is not None and not target.contains_subspace(w):
-            continue
-        if not subspace_intersect(w, sub).is_zero():
-            continue
-        if not is_subalgebra(A, w):
-            continue
-        return w
-    return None
+    return SubspaceLattice(A, budget).complement(sub, inside)
 
 
 class SubspaceLattice:
-    """The subalgebras and ideals of an algebra over F_p, from one pass over
-    its subspaces, and the facts that follow from the two lists.
+    """The facts about an algebra over F_p that rest on its subspaces: the
+    subalgebras, ideals, maximal subalgebras, Frattini data, minimal ideals
+    and chief series.  `Analyzer`, fixture validation and the public
+    functions above all take them from here.
 
-    The pass runs on first need: each subspace is tested once for being a
-    subalgebra, and only subalgebras for being an ideal (every ideal is a
-    subalgebra).  Both lists keep the canonical (dim, basis) order of
-    `iter_subspaces`, so every answer below breaks ties as the per-fact
-    enumerators above do.
+    Each fact is computed on first need and kept.  One pass over the
+    subspaces tests each for being a subalgebra.  The ideals are the
+    subalgebras that are ideals (every ideal is a subalgebra), filtered only
+    when asked for, so the maximal subalgebras and the Frattini data take no
+    ideal test.  Every list keeps the canonical (dim, basis) order of
+    `iter_subspaces`.
+
+    Minimal ideals and the chief series have two routes.  When every
+    subspace and every vector of F_q^n fits the budget, they are read off the
+    ideal list.  Otherwise `minimal_ideals` and `series.chief_series` sweep
+    vectors, which reaches algebras with too many subspaces to list.  Both
+    routes give the same subspaces in the same order, and the list route is
+    taken only where the sweep could not have been refused, so the choice
+    never changes whether BudgetExceededError is raised.  The complement
+    search takes its candidates by the same rule.
     """
 
     def __init__(self, A: Algebra, budget: EnumerationBudget = DEFAULT_BUDGET):
@@ -361,26 +325,39 @@ class SubspaceLattice:
         self.budget = budget
 
     @functools.cached_property
-    def _lists(self):
+    def _subalgebras(self):
         A = self.algebra
-        subs, ideal_list = [], []
-        for s in iter_subspaces(A.field, A.dim, budget=self.budget):
-            if is_subalgebra(A, s):
-                subs.append(s)
-                if is_ideal(A, s):
-                    ideal_list.append(s)
-        return subs, ideal_list
+        _require_finite(A.field, "subalgebra enumeration")
+        subspaces = iter_subspaces(A.field, A.dim, budget=self.budget)
+        return [s for s in subspaces if is_subalgebra(A, s)]
+
+    @functools.cached_property
+    def _ideals(self):
+        _require_finite(self.algebra.field, "ideal enumeration")
+        return [s for s in self._subalgebras if is_ideal(self.algebra, s)]
 
     def subalgebras(self):
-        return list(self._lists[0])
+        return list(self._subalgebras)
 
     def ideals(self):
-        return list(self._lists[1])
+        return list(self._ideals)
+
+    @functools.cached_property
+    def _listed(self):
+        """Whether the lists serve minimal ideals, the chief series and the
+        complement search."""
+        A, budget = self.algebra, self.budget
+        return (
+            count_subspaces(A.field, A.dim) <= budget.max_subspaces
+            and count_vectors(A.field, A.dim) <= budget.max_vectors
+        )
 
     def minimal_ideals(self):
         """Nonzero ideals containing no smaller nonzero ideal."""
+        if not self._listed:
+            return minimal_ideals(self.algebra, self.budget)  # the module's sweep
         minimal = []
-        for b in self._lists[1]:
+        for b in self._ideals:
             if b.dim and not any(b.contains_subspace(m) for m in minimal):
                 minimal.append(b)
         return minimal
@@ -388,16 +365,17 @@ class SubspaceLattice:
     def chief_series(self):
         """From 0 to A, each term the first ideal in canonical order strictly
         above the previous one, which is the first minimal such ideal."""
-        ideal_list = self._lists[1]
-        chain = [ideal_list[0]]
-        for b in ideal_list:
+        if not self._listed:
+            return list(chief_series(self.algebra, budget=self.budget).ideals)
+        chain = [self._ideals[0]]
+        for b in self._ideals:
             if b.dim > chain[-1].dim and b.contains_subspace(chain[-1]):
                 chain.append(b)
         return chain
 
     @functools.cached_property
     def _maximal(self):
-        proper = [s for s in self._lists[0] if s.dim < self.algebra.dim]
+        proper = [s for s in self._subalgebras if s.dim < self.algebra.dim]
         maximal = []
         for s in sorted(proper, key=lambda s: -s.dim):
             if not any(m.contains_subspace(s) for m in maximal):
@@ -410,29 +388,37 @@ class SubspaceLattice:
 
     @functools.cached_property
     def _frattini(self):
-        subs, ideal_list = self._lists
-        sub = next(s for s in reversed(subs) if all(m.contains_subspace(s) for m in self._maximal))
-        ideal = next(b for b in reversed(ideal_list) if sub.contains_subspace(b))
-        return FrattiniData(sub, ideal)
+        f = self.algebra.full_space()
+        for m in self._maximal:
+            if not m.contains_subspace(f):
+                # the first intersection, with A itself, is m
+                f = subspace_intersect(f, m) if f.dim < self.algebra.dim else m
+        return FrattiniData(f, ideal_core(self.algebra, f))
 
     def frattini(self) -> FrattiniData:
-        """The Frattini subalgebra is the largest listed subalgebra inside
-        every maximal one, and the Frattini ideal the largest listed ideal
-        inside that; each is unique, so the first from the top is it."""
+        """The intersection of the maximal subalgebras and its ideal core."""
         return self._frattini
 
-    def first_complement(self, sub: Subspace, inside: Subspace | None = None):
+    def complement(self, sub: Subspace, inside: Subspace | None = None):
         """First subalgebra W in canonical order with W & sub = 0 and
-        W + sub = inside (default the whole algebra), or None."""
-        target = inside if inside is not None else self.algebra.full_space()
+        W + sub = inside (default the whole algebra), or None.  The search
+        takes its candidates from the subalgebra list on the list route, and
+        otherwise walks the subspaces of W's dimension, so that the budget
+        counts only those."""
+        A = self.algebra
+        target = inside if inside is not None else A.full_space()
         if not target.contains_subspace(sub):
             raise PreconditionError("containment", "complement target must contain the subspace")
         k = target.dim - sub.dim
-        for w in self._lists[0]:
+        if self._listed:
+            candidates = (w for w in self._subalgebras if w.dim == k)
+        else:
+            candidates = iter_subspaces(A.field, A.dim, dim=k, budget=self.budget)
+        for w in candidates:
             if (
-                w.dim == k
-                and (inside is None or target.contains_subspace(w))
+                (inside is None or target.contains_subspace(w))
                 and subspace_intersect(w, sub).is_zero()
+                and (self._listed or is_subalgebra(A, w))  # listed ones are subalgebras
             ):
                 return w
         return None

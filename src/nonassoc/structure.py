@@ -42,7 +42,7 @@ from .enumeration import (
     DEFAULT_BUDGET,
     NATURAL_CLASSES,
     RadicalKind,
-    find_complement_subalgebra,  # noqa: F401  (re-exported)
+    find_complement_subalgebra,  # noqa: F401  (traced under this name)
     frattini,
     ideals,
     is_semisimple,
@@ -271,7 +271,7 @@ def zero_socle_split(z, phi):
     require_ideal_products(z)
     if not A.field.is_finite:
         raise UnsupportedOperationError("requires a finite field to verify that no split exists")
-    comp = z.fp_facts().first_complement(zsoc)
+    comp = z.complement(zsoc, "zero_socle_complement")
     if comp is not None:
         raise TheoremViolationError(
             "algebra with nonzero Frattini ideal splits over its zero socle",
